@@ -29,9 +29,10 @@ from .domain import (
     CollateralError,
     Domain,
     GameConfig,
+    InvariantError,
     TrainingSet,
+    as_path,
     make_training,
-    step_capital,
 )
 from .model_select import NestedGameReport, select_dimension
 from .optimizer import (
@@ -63,6 +64,7 @@ __all__ = [
     "Domain",
     "Embedding",
     "GameConfig",
+    "InvariantError",
     "NestedGameReport",
     "PhiProblem",
     "PhiSolution",
@@ -74,6 +76,7 @@ __all__ = [
     "TrainingSet",
     "UniversalPortfolioConfig",
     "appendix_yn",
+    "as_path",
     "constant_strategy_capital",
     "deficiency_bounds",
     "deficiency_constants",
@@ -93,7 +96,6 @@ __all__ = [
     "solve_phi",
     "sos_capital_fast",
     "sos_run",
-    "step_capital",
     "transform_returns",
     "universal_portfolio",
 ]

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import CollateralError
+from .domain import CollateralError, as_path
 
 __all__ = [
     "UniversalPortfolioConfig",
@@ -20,8 +20,8 @@ __all__ = [
 
 def constant_strategy_capital(alpha, path) -> float:
     """Final log capital (nats) of the constant proportion alpha."""
-    path = np.atleast_2d(np.asarray(path, dtype=float))
     alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
+    path = as_path(path, alpha.size)
     r = 1.0 + path @ alpha
     bad = np.nonzero(r <= 0.0)[0]
     if bad.size:

@@ -27,20 +27,10 @@ import numpy as np
 
 from .baselines import UniversalPortfolioConfig, universal_portfolio
 from .continuous import gen_gbm, girsanov_rate_experiment, gen_fbm, holder_experiment
-from .domain import Domain, GameConfig, TrainingSet, make_training
+from .domain import Domain, GameConfig, make_training
 from .model_select import select_dimension
 from .sos import sos_run
 from .transform import read_price_csv, transform_returns
-
-SCENARIOS = (
-    "sos_csv",
-    "sos_synthetic",
-    "universal_compare",
-    "holder",
-    "girsanov",
-    "model_select",
-    "imaginary",
-)
 
 
 def parse_config(path) -> dict:
@@ -77,7 +67,7 @@ def _write_long_series(path, series: dict) -> None:
     with open(path, "w", newline="") as fh:
         fh.write("series,n,value\n")
         for name, values in series.items():
-            for i, v in enumerate(values, start=1):
+            for i, v in enumerate(values.tolist(), start=1):
                 fh.write(f"{name},{i},{v:.17g}\n")
 
 
@@ -85,14 +75,133 @@ def _imaginary_path(n_rounds: int) -> np.ndarray:
     return (1.0 / (np.arange(1, n_rounds + 1) + 1.0))[:, None]
 
 
-def _unit_game(epsilon0=0.0) -> GameConfig:
+def _unit_corner_game() -> GameConfig:
     dom = Domain.box([-1.0], [1.0])
-    training = TrainingSet(
-        epsilon0=epsilon0 or 0.1,
-        points=np.array([[-1.0], [1.0]]),
-        scheme="corners_2tod",
+    return GameConfig(domain=dom, training=make_training(dom, 0.1, "corners_2tod"))
+
+
+def _imaginary(cfg, seed, outdir):
+    res = sos_run(_unit_corner_game(), _imaginary_path(int(_fnum(cfg, "N", 2000))))
+    res.ledger.to_csv(outdir / "ledger.csv")
+    _write_long_series(
+        outdir / "series.csv",
+        {"LK1": res.ledger.logK_true, "LK0": res.ledger.logK_hindsight},
     )
-    return GameConfig(domain=dom, training=training)
+    return res.summary()
+
+
+def _sos_csv(cfg, seed, outdir):
+    prices = read_price_csv(cfg["input"])
+    outcomes, game, _tr = transform_returns(prices, _fnum(cfg, "c", 0.17))
+    res = sos_run(game, outcomes)
+    led = res.ledger
+    led.to_csv(outdir / "ledger.csv")
+    _write_long_series(
+        outdir / "series.csv",
+        {
+            "LK0": led.logK_hindsight,
+            "LK1": led.logK_true,
+            "LK2": led.logK_approx,
+            "LD1": led.LD1,
+            "LD2": led.LD2,
+            "LD3": led.LD3,
+        },
+    )
+    return res.summary()
+
+
+def _sos_synthetic(cfg, seed, outdir):
+    d = int(_fnum(cfg, "d", 1))
+    n_rounds = int(_fnum(cfg, "N", 1000))
+    half = _fnum(cfg, "halfwidth", 0.5)
+    rng = np.random.default_rng(seed)
+    dom = Domain.box(-half * np.ones(d), half * np.ones(d))
+    game = GameConfig(
+        domain=dom, training=make_training(dom, _fnum(cfg, "epsilon0", 0.1))
+    )
+    path = rng.choice([-half, half], size=(n_rounds, d))
+    res = sos_run(game, path)
+    res.ledger.to_csv(outdir / "ledger.csv")
+    return res.summary()
+
+
+def _universal_compare(cfg, seed, outdir):
+    n_rounds = int(_fnum(cfg, "N", 500))
+    rng = np.random.default_rng(seed)
+    path = rng.uniform(-0.8, 0.8, size=(n_rounds, 1))
+    res = sos_run(_unit_corner_game(), path)
+    M = int(_fnum(cfg, "M", 100))
+    up0 = universal_portfolio(UniversalPortfolioConfig(M=M), path)
+    up1 = universal_portfolio(
+        UniversalPortfolioConfig(M=M, include_training=True), path
+    )
+    res.ledger.to_csv(outdir / "ledger.csv")
+    with open(outdir / "universal.csv", "w", newline="") as fh:
+        fh.write("n,K1,KU0,KU1\n")
+        for i, logk in enumerate(res.ledger.logK_true.tolist()):
+            fh.write(
+                f"{i + 1},{math.exp(logk):.17g},{up0[i]:.17g},{up1[i]:.17g}\n"
+            )
+    summary = res.summary()
+    summary["KU0_final"] = float(up0[-1])
+    summary["KU1_final"] = float(up1[-1])
+    return summary
+
+
+def _holder(cfg, seed, outdir):
+    hurst = _fnum(cfg, "H", 0.5)
+    path = gen_fbm(
+        hurst,
+        _fnum(cfg, "scale", 0.12),
+        _fnum(cfg, "T", 1.0),
+        _fnum(cfg, "grid_step", 1e-5),
+        seed,
+    )
+    deltas = [float(v) for v in cfg.get("delta", "0.02 0.01 0.005").split()]
+    rows, hs = holder_experiment(path, deltas)
+    with open(outdir / "holder.csv", "w", newline="") as fh:
+        fh.write("delta,N,trV_N,logK,delta_alpha_norm\n")
+        for r in rows:
+            fh.write(
+                f"{r['delta']:.17g},{r['N']},{r['trV_N']:.17g},"
+                f"{r['logK']:.17g},{r['delta_alpha_norm']:.17g}\n"
+            )
+    return {"H": hurst, "rows": rows, "H_estimates": hs}
+
+
+def _girsanov(cfg, seed, outdir):
+    d = int(_fnum(cfg, "d", 1))
+    mu = np.full(d, _fnum(cfg, "mu", 0.1))
+    sigma = np.eye(d) * _fnum(cfg, "sigma", 0.3)
+    return girsanov_rate_experiment(
+        mu, sigma, _fnum(cfg, "T", 50.0), _fnum(cfg, "delta", 0.01), seed
+    )
+
+
+def _model_select(cfg, seed, outdir):
+    d_max = int(_fnum(cfg, "d_max", 3))
+    n_rounds = int(_fnum(cfg, "N", 300))
+    rng = np.random.default_rng(seed)
+    drift = rng.uniform(0.05, 0.2, size=d_max)
+    path = np.clip(
+        rng.uniform(-0.5, 0.5, size=(n_rounds, d_max)) + drift, -0.9, 0.9
+    )
+    report = select_dimension(path)
+    report.to_csv(outdir / "model_select.csv")
+    return {"selected": report.selected, "criterion": report.criterion.tolist()}
+
+
+# scenario name -> runner(cfg, seed, outdir) that writes its own outputs and
+# returns the summary that run_scenario writes to summary.json
+SCENARIOS = {
+    "sos_csv": _sos_csv,
+    "sos_synthetic": _sos_synthetic,
+    "universal_compare": _universal_compare,
+    "holder": _holder,
+    "girsanov": _girsanov,
+    "model_select": _model_select,
+    "imaginary": _imaginary,
+}
 
 
 def run_scenario(cfg: dict, outdir: Path) -> dict:
@@ -100,132 +209,11 @@ def run_scenario(cfg: dict, outdir: Path) -> dict:
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}")
     outdir.mkdir(parents=True, exist_ok=True)
-    seed = _seed(cfg)
-
-    if scenario == "imaginary":
-        n_rounds = int(_fnum(cfg, "N", 2000))
-        res = sos_run(_unit_game(), _imaginary_path(n_rounds))
-        res.ledger.to_csv(outdir / "ledger.csv")
-        res.summary_json(outdir / "summary.json")
-        _write_long_series(
-            outdir / "series.csv",
-            {"LK1": res.ledger.logK_true, "LK0": res.ledger.logK_hindsight},
-        )
-        return res.summary()
-
-    if scenario == "sos_csv":
-        prices = read_price_csv(cfg["input"])
-        outcomes, game, _tr = transform_returns(prices, _fnum(cfg, "c", 0.17))
-        res = sos_run(game, outcomes)
-        res.ledger.to_csv(outdir / "ledger.csv")
-        res.summary_json(outdir / "summary.json")
-        _write_long_series(
-            outdir / "series.csv",
-            {
-                "LK0": res.ledger.logK_hindsight,
-                "LK1": res.ledger.logK_true,
-                "LK2": res.ledger.logK_approx,
-                "LD1": res.ledger.LD1,
-                "LD2": res.ledger.LD2,
-                "LD3": res.ledger.LD3,
-            },
-        )
-        return res.summary()
-
-    if scenario == "sos_synthetic":
-        d = int(_fnum(cfg, "d", 1))
-        n_rounds = int(_fnum(cfg, "N", 1000))
-        half = _fnum(cfg, "halfwidth", 0.5)
-        rng = np.random.default_rng(seed)
-        dom = Domain.box(-half * np.ones(d), half * np.ones(d))
-        game = GameConfig(
-            domain=dom, training=make_training(dom, _fnum(cfg, "epsilon0", 0.1))
-        )
-        path = rng.choice([-half, half], size=(n_rounds, d))
-        res = sos_run(game, path)
-        res.ledger.to_csv(outdir / "ledger.csv")
-        res.summary_json(outdir / "summary.json")
-        return res.summary()
-
-    if scenario == "universal_compare":
-        d = 1
-        n_rounds = int(_fnum(cfg, "N", 500))
-        rng = np.random.default_rng(seed)
-        path = rng.uniform(-0.8, 0.8, size=(n_rounds, d))
-        res = sos_run(_unit_game(), path)
-        M = int(_fnum(cfg, "M", 100))
-        up0 = universal_portfolio(UniversalPortfolioConfig(M=M), path)
-        up1 = universal_portfolio(
-            UniversalPortfolioConfig(M=M, include_training=True), path
-        )
-        res.ledger.to_csv(outdir / "ledger.csv")
-        with open(outdir / "universal.csv", "w", newline="") as fh:
-            fh.write("n,K1,KU0,KU1\n")
-            for i in range(n_rounds):
-                fh.write(
-                    f"{i + 1},{math.exp(res.ledger.logK_true[i]):.17g},"
-                    f"{up0[i]:.17g},{up1[i]:.17g}\n"
-                )
-        summary = res.summary()
-        summary["KU0_final"] = float(up0[-1])
-        summary["KU1_final"] = float(up1[-1])
-        with open(outdir / "summary.json", "w") as fh:
-            json.dump(summary, fh, indent=2)
-        return summary
-
-    if scenario == "holder":
-        hurst = _fnum(cfg, "H", 0.5)
-        path = gen_fbm(
-            hurst,
-            _fnum(cfg, "scale", 0.12),
-            _fnum(cfg, "T", 1.0),
-            _fnum(cfg, "grid_step", 1e-5),
-            seed,
-        )
-        deltas = [float(v) for v in cfg.get("delta", "0.02 0.01 0.005").split()]
-        rows, hs = holder_experiment(path, deltas)
-        with open(outdir / "holder.csv", "w", newline="") as fh:
-            fh.write("delta,N,trV_N,logK,delta_alpha_norm\n")
-            for r in rows:
-                fh.write(
-                    f"{r['delta']:.17g},{r['N']},{r['trV_N']:.17g},"
-                    f"{r['logK']:.17g},{r['delta_alpha_norm']:.17g}\n"
-                )
-        summary = {"H": hurst, "rows": rows, "H_estimates": hs}
-        with open(outdir / "summary.json", "w") as fh:
-            json.dump(summary, fh, indent=2)
-        return summary
-
-    if scenario == "girsanov":
-        d = int(_fnum(cfg, "d", 1))
-        mu = np.full(d, _fnum(cfg, "mu", 0.1))
-        sigma = np.eye(d) * _fnum(cfg, "sigma", 0.3)
-        out = girsanov_rate_experiment(
-            mu, sigma, _fnum(cfg, "T", 50.0), _fnum(cfg, "delta", 0.01), seed
-        )
-        with open(outdir / "summary.json", "w") as fh:
-            json.dump(out, fh, indent=2)
-        return out
-
-    if scenario == "model_select":
-        d_max = int(_fnum(cfg, "d_max", 3))
-        n_rounds = int(_fnum(cfg, "N", 300))
-        rng = np.random.default_rng(seed)
-        drift = rng.uniform(0.05, 0.2, size=d_max)
-        path = np.clip(
-            rng.uniform(-0.5, 0.5, size=(n_rounds, d_max)) + drift, -0.9, 0.9
-        )
-        report = select_dimension(path)
-        report.to_csv(outdir / "model_select.csv")
-        summary = {
-            "selected": report.selected,
-            "criterion": report.criterion.tolist(),
-        }
-        with open(outdir / "summary.json", "w") as fh:
-            json.dump(summary, fh, indent=2)
-        return summary
-
-    raise AssertionError("unreachable")
+    summary = SCENARIOS[scenario](cfg, _seed(cfg), outdir)
+    with open(outdir / "summary.json", "w") as fh:
+        json.dump(summary, fh, indent=2)
+        fh.write("\n")
+    return summary
 
 
 def _cmd_run(args) -> int:
@@ -251,9 +239,16 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    tests = Path(__file__).resolve().parent.parent.parent / "tests"
+    if not tests.is_dir():
+        print(
+            f"gtpbet selftest: no test suite at {tests}; the tests ship with "
+            "the source tree, so run this from a source checkout",
+            file=sys.stderr,
+        )
+        return 2
     import pytest
 
-    tests = Path(__file__).resolve().parent.parent.parent / "tests"
     return pytest.main(["-q", str(tests)])
 
 

@@ -11,12 +11,11 @@ jaggedness (Holder roughness) of the path.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Domain, GameConfig, make_training
+from .domain import Domain, GameConfig, InvariantError, make_training
 from .sos import sos_capital_fast
 
 __all__ = [
@@ -231,10 +230,11 @@ def _fgn_davies_harte(n, hurst, rng, dtype=np.float64):
     del circ
     eig = np.ascontiguousarray(eig.real)
     # rounding floor of the length-m transform; anything below it means the
-    # embedding itself is indefinite rather than numerically fuzzy
+    # embedding itself is indefinite rather than numerically fuzzy, which
+    # the circulant embedding of fGn never is for H in (0, 1)
     tol = max(1e-10, np.finfo(dtype).eps * math.sqrt(m)) * float(np.max(eig))
     if np.any(eig < -tol):
-        return None
+        raise InvariantError("circulant embedding of fGn is not positive semidefinite")
     np.maximum(eig, 0.0, out=eig)
     # Hermitian-symmetric Gaussian spectrum -> real noise via irfft
     half = eig.size  # n + 1; m is even, so both ends are real modes
@@ -261,10 +261,9 @@ def _fgn_davies_harte(n, hurst, rng, dtype=np.float64):
 def gen_fbm(hurst, scale, T, grid_step, seed, s0=1.0, d=1, dtype=np.float64) -> PricePath:
     """Exponential of fractional Brownian motion, one independent fBm per
     component.  Circulant (Davies-Harte) embedding gives exact increment
-    covariance; on the rare non-positive embedding it falls back to a
-    Cholesky factorization with a warning.  dtype=float32 cuts the peak
-    memory of the spectral synthesis roughly in half (the running sum is
-    always accumulated in float64)."""
+    covariance.  dtype=float32 cuts the peak memory of the spectral
+    synthesis roughly in half (the running sum is always accumulated in
+    float64)."""
     if not 0.0 < hurst < 1.0:
         raise ValueError("hurst must lie in (0, 1)")
     K = int(math.ceil(T / grid_step))
@@ -274,18 +273,6 @@ def gen_fbm(hurst, scale, T, grid_step, seed, s0=1.0, d=1, dtype=np.float64) -> 
     paths = np.empty((K + 1, d))
     for j in range(d):
         fgn = _fgn_davies_harte(K, hurst, rng, dtype=np.dtype(dtype))
-        if fgn is None:
-            warnings.warn("circulant embedding not positive; using Cholesky")
-            k = np.arange(K)
-            gamma = 0.5 * (
-                np.abs(k + 1) ** (2 * hurst)
-                + np.abs(k - 1) ** (2 * hurst)
-                - 2.0 * np.abs(k) ** (2 * hurst)
-            )
-            cov = np.empty((K, K))
-            for a in range(K):
-                cov[a] = gamma[np.abs(np.arange(K) - a)]
-            fgn = np.linalg.cholesky(cov) @ rng.standard_normal(K)
         paths[0, j] = 0.0
         np.cumsum(fgn, dtype=np.float64, out=paths[1:, j])
         del fgn
@@ -305,23 +292,21 @@ _DEFAULT_DELTAS = (0.02, 0.01, 0.005, 0.0025)
 
 
 def _run_embedded_sos(emb: Embedding, epsilon0: float = 0.1):
-    """Fast sequential strategy over an embedding; returns final log capital
-    including the residual period from the last stop to the horizon."""
-    d = emb.outcomes.shape[1] if emb.outcomes.size else 1
-    delta = emb.delta
-    c = delta * math.sqrt(d) / (1.0 - epsilon0)
-    training = np.zeros((2 * d, d))
-    for i in range(d):
-        training[2 * i, i] = c
-        training[2 * i + 1, i] = -c
-    logK, _ = sos_capital_fast(emb.outcomes, training, 1.0 / c)
+    """Fast sequential strategy over an embedding.  Returns the final log
+    capital, including the residual period from the last stop to the
+    horizon, and the final unclipped V^{-1} s (zero when nothing stopped)."""
+    d = emb.outcomes.shape[1]
+    training = game_config_for_embedding(emb.delta, d, epsilon0).training.points
+    bound = 1.0 / training.max()
+    logK, _ = sos_capital_fast(emb.outcomes, training, bound)
+    if not emb.N:
+        return logK, np.zeros(d)
     # residual period: the final sub-delta return at the standing bet
-    if emb.N:
-        s = training.sum(axis=0) + emb.outcomes.sum(axis=0)
-        V = training.T @ training + emb.outcomes.T @ emb.outcomes
-        alpha = np.clip(np.linalg.solve(V, s), -1.0 / c, 1.0 / c)
-        logK += math.log(1.0 + float(alpha @ emb.final_return))
-    return logK
+    s = training.sum(axis=0) + emb.outcomes.sum(axis=0)
+    V = training.T @ training + emb.outcomes.T @ emb.outcomes
+    alpha = np.linalg.solve(V, s)
+    logK += math.log(1.0 + float(np.clip(alpha, -bound, bound) @ emb.final_return))
+    return logK, alpha
 
 
 def holder_experiment(path: PricePath, delta_grid=_DEFAULT_DELTAS, epsilon0=0.1):
@@ -334,28 +319,15 @@ def holder_experiment(path: PricePath, delta_grid=_DEFAULT_DELTAS, epsilon0=0.1)
     rows = []
     for delta in delta_grid:
         emb = embed(path, delta)
-        logK = _run_embedded_sos(emb, epsilon0)
-        # diagnostic: delta * ||alpha|| at the end of the run
-        d = path.d
-        c = delta * math.sqrt(d) / (1.0 - epsilon0)
-        training = np.zeros((2 * d, d))
-        for i in range(d):
-            training[2 * i, i] = c
-            training[2 * i + 1, i] = -c
-        if emb.N:
-            s = training.sum(axis=0) + emb.outcomes.sum(axis=0)
-            V = training.T @ training + emb.outcomes.T @ emb.outcomes
-            alpha = np.linalg.solve(V, s)
-            da = delta * float(np.linalg.norm(alpha))
-        else:
-            da = 0.0
+        logK, alpha = _run_embedded_sos(emb, epsilon0)
         rows.append(
             {
                 "delta": delta,
                 "N": emb.N,
                 "trV_N": emb.N * delta * delta,
                 "logK": logK,
-                "delta_alpha_norm": da,
+                # diagnostic: delta * ||alpha|| at the end of the run
+                "delta_alpha_norm": delta * float(np.linalg.norm(alpha)),
             }
         )
     hs = []
@@ -384,22 +356,13 @@ def girsanov_rate_experiment(
         grid_step = (delta / (5.0 * smax)) ** 2
     path = gen_gbm(mu, sigma, T, grid_step, seed)
     emb = embed(path, delta)
-    logK = _run_embedded_sos(emb, epsilon0)
+    logK, _ = _run_embedded_sos(emb, epsilon0)
     return {
         "logK_over_T": logK / T,
         "target": kelly_gbm_rate(mu, sigma),
         "N": emb.N,
         "delta": delta,
     }
-
-
-def activity_check(path: PricePath, threshold: float) -> None:
-    """Warn for any component whose log-range stays below threshold."""
-    logv = np.log(path.values)
-    rng = logv.max(axis=0) - logv.min(axis=0)
-    for j, r in enumerate(rng):
-        if r < threshold:
-            warnings.warn(f"component {j + 1} is nearly inactive (log-range {r:.3g})")
 
 
 def game_config_for_embedding(delta: float, d: int, epsilon0: float = 0.1) -> GameConfig:

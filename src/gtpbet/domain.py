@@ -11,7 +11,7 @@ vector alpha that keeps 1 + alpha.x >= 0 on the training points keeps
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,8 +21,9 @@ __all__ = [
     "GameConfig",
     "CapitalLedger",
     "CollateralError",
+    "InvariantError",
+    "as_path",
     "make_training",
-    "step_capital",
 ]
 
 _BOUNDARY_SLACK = 1e-12  # absorbs transform rounding on membership tests
@@ -30,6 +31,12 @@ _BOUNDARY_SLACK = 1e-12  # absorbs transform rounding on membership tests
 
 class CollateralError(ValueError):
     """Raised when a bet would allow the capital to reach zero or below."""
+
+
+class InvariantError(AssertionError):
+    """An identity of the theory failed at run time.  Raised explicitly, so
+    the checks stay active under python -O; subclassing AssertionError keeps
+    the checks catchable as the asserts they replace."""
 
 
 @dataclass(frozen=True)
@@ -173,12 +180,29 @@ def make_training(domain: Domain, epsilon0: float, scheme: str = "axis_2d") -> T
 class GameConfig:
     domain: Domain
     training: TrainingSet
-    strategy: str = "sos"
-    seed: int = 0
 
     def __post_init__(self):
         if self.training.d != self.domain.d:
             raise ValueError("training dimension does not match domain")
+
+
+def as_path(x, d: int) -> np.ndarray:
+    """An outcome path as an (N, d) float array, validated once.
+
+    A 1-D array is N outcomes when d = 1 and one outcome when d > 1.
+    Raises ValueError for any other shape and for a NaN or infinite
+    component, naming the first round that holds one.
+    """
+    path = np.asarray(x, dtype=float)
+    if path.ndim == 1 and d == 1:
+        path = path[:, None]
+    path = np.atleast_2d(path)
+    if path.ndim != 2 or path.shape[1] != d:
+        raise ValueError(f"outcome path of shape {np.shape(x)} does not hold {d}-vectors")
+    bad = np.flatnonzero(~np.isfinite(path).all(axis=1))
+    if bad.size:
+        raise ValueError(f"non-finite outcome at round {bad[0] + 1}")
+    return path
 
 
 # ledger CSV column order, one row per round
@@ -196,60 +220,26 @@ LEDGER_COLUMNS = (
 )
 
 
-@dataclass
 class CapitalLedger:
-    """Per-round capital and diagnostic series, all in nats."""
+    """Per-round capital and diagnostic series, all in nats.
 
-    n: list = field(default_factory=list)
-    alpha_used: list = field(default_factory=list)
-    outcomes: list = field(default_factory=list)
-    logK_true: list = field(default_factory=list)
-    logK_hindsight: list = field(default_factory=list)
-    logK_approx: list = field(default_factory=list)
-    LD1: list = field(default_factory=list)
-    LD2: list = field(default_factory=list)
-    LD3: list = field(default_factory=list)
-    GR: list = field(default_factory=list)
-    QR: list = field(default_factory=list)
-    DR: list = field(default_factory=list)
+    Preallocated for N rounds: n holds 1..N and every other name in
+    LEDGER_COLUMNS is a float column of length N that the run fills in
+    place.
+    """
+
+    def __init__(self, N: int):
+        self.n = np.arange(1, N + 1)
+        for col in LEDGER_COLUMNS[1:]:
+            setattr(self, col, np.zeros(N))
 
     def __len__(self) -> int:
-        return len(self.n)
-
-    @property
-    def final_logK(self) -> float:
-        return self.logK_true[-1] if self.logK_true else 0.0
+        return self.n.size
 
     def to_csv(self, path) -> None:
         """Write one row per round, RFC-4180, LF line endings, 17 sig digits."""
+        cols = [getattr(self, c).tolist() for c in LEDGER_COLUMNS[1:]]
         with open(path, "w", newline="") as fh:
             fh.write(",".join(LEDGER_COLUMNS) + "\n")
-            for i in range(len(self.n)):
-                row = [str(self.n[i])] + [
-                    format(getattr(self, c)[i], ".17g")
-                    for c in LEDGER_COLUMNS[1:]
-                ]
-                fh.write(",".join(row) + "\n")
-
-
-def step_capital(ledger: CapitalLedger, alpha, x, **diagnostics) -> CapitalLedger:
-    """Append one round to the ledger; logK_true grows by log(1 + alpha.x).
-
-    Raises CollateralError naming the round if 1 + alpha.x <= 0.
-    """
-    alpha = np.asarray(alpha, dtype=float)
-    x = np.asarray(x, dtype=float)
-    growth = 1.0 + float(alpha @ x)
-    n = (ledger.n[-1] + 1) if ledger.n else 1
-    if growth <= 0.0:
-        raise CollateralError(
-            f"collateral violated at round {n}: 1 + alpha.x = {growth:.6g}"
-        )
-    prev = ledger.logK_true[-1] if ledger.logK_true else 0.0
-    ledger.n.append(n)
-    ledger.alpha_used.append(alpha)
-    ledger.outcomes.append(x)
-    ledger.logK_true.append(prev + math.log(growth))
-    for col in LEDGER_COLUMNS[2:]:
-        getattr(ledger, col).append(diagnostics.get(col, float("nan")))
-    return ledger
+            for n, *row in zip(self.n.tolist(), *cols):
+                fh.write(f"{n}," + ",".join(format(v, ".17g") for v in row) + "\n")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Domain, GameConfig, TrainingSet
+from .domain import Domain, GameConfig, InvariantError, TrainingSet, make_training
 from .sos import sos_run
 
 __all__ = ["NestedGameReport", "select_dimension"]
@@ -43,7 +43,7 @@ class NestedGameReport:
                 )
 
 
-def select_dimension(paths, epsilon0: float = 0.1, **sos_kwargs) -> NestedGameReport:
+def select_dimension(paths, epsilon0: float = 0.1) -> NestedGameReport:
     """Run the sequential strategy for every prefix dimension and pick the
     one maximizing the hindsight-minus-penalty criterion.
 
@@ -56,9 +56,7 @@ def select_dimension(paths, epsilon0: float = 0.1, **sos_kwargs) -> NestedGameRe
         raise ValueError("empty outcome sequence")
     # shared training: corners of the full box, projected per prefix
     full = Domain.box(-np.ones(d_max), np.ones(d_max))
-    signs = np.stack(
-        np.meshgrid(*[(-1.0, 1.0)] * d_max, indexing="ij"), axis=-1
-    ).reshape(-1, d_max)
+    signs = make_training(full, epsilon0, "corners_2tod").points
     kl = np.empty(d_max)
     pen = np.empty(d_max)
     crit = np.empty(d_max)
@@ -69,14 +67,14 @@ def select_dimension(paths, epsilon0: float = 0.1, **sos_kwargs) -> NestedGameRe
             epsilon0=epsilon0, points=signs[:, :d].copy(), scheme="corners_2tod"
         )
         cfg = GameConfig(domain=dom, training=train)
-        res = sos_run(cfg, paths[:, :d], **sos_kwargs)
+        res = sos_run(cfg, paths[:, :d])
         led = res.ledger
         kl[d - 1] = led.logK_hindsight[-1]
         pen[d - 1] = led.LD2[-1]
         crit[d - 1] = kl[d - 1] - pen[d - 1]
         logk[d - 1] = led.logK_true[-1]
         if pen[d - 1] < -1e-8:
-            raise AssertionError(f"negative penalty at d={d}")
+            raise InvariantError(f"negative penalty at d={d}")
     for d in range(1, d_max):
         if pen[d] < pen[d - 1] - 1e-8:
             warnings.warn(

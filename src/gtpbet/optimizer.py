@@ -41,7 +41,6 @@ class PhiProblem:
     """Outcome history, training points first.  outcomes has shape (m, d)."""
 
     outcomes: np.ndarray
-    n_training: int = 0
 
     def __post_init__(self):
         X = np.atleast_2d(np.asarray(self.outcomes, dtype=float))

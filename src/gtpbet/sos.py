@@ -10,14 +10,13 @@ deficiency and rate diagnostics.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import CapitalLedger, CollateralError, GameConfig
-from .optimizer import PhiProblem, PhiSolution, solve_phi
+from .domain import CapitalLedger, CollateralError, GameConfig, InvariantError, as_path
+from .optimizer import PhiProblem, solve_phi
 
 __all__ = [
     "SosResult",
@@ -42,7 +41,6 @@ class SosResult:
     log_info: np.ndarray  # (N,) running log[I_n]
     phi00_alpha0: float  # training-only objective at its own optimum
     a_n: np.ndarray  # (N,) x_n' V_{0,n-1}^{-1} x_n (determinant recursion)
-    A_n: np.ndarray  # (N,) training denominator sum, a proof-device diagnostic
 
     @property
     def N(self) -> int:
@@ -53,9 +51,9 @@ class SosResult:
         c1, c2, c3 = deficiency_constants(self.config)
         out = {
             "N": self.N,
-            "logK_true": led.logK_true[-1],
-            "logK_hindsight": led.logK_hindsight[-1],
-            "logK_approx": led.logK_approx[-1],
+            "logK_true": float(led.logK_true[-1]),
+            "logK_hindsight": float(led.logK_hindsight[-1]),
+            "logK_approx": float(led.logK_approx[-1]),
             "C1": c1,
             "C2": c2,
             "C3": c3,
@@ -64,11 +62,6 @@ class SosResult:
         r2 = slln2_ratio(self.outcomes)
         out["slln2_ratio"] = float(r2[-1]) if np.isfinite(r2[-1]) else None
         return out
-
-    def summary_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.summary(), fh, indent=2)
-            fh.write("\n")
 
 
 def sos_run(
@@ -84,12 +77,14 @@ def sos_run(
     Every check_every rounds the exact-relation identity
     alpha* = V*^{-1} s (with V* the reweighted second-moment matrix) and
     the determinant bookkeeping are verified from scratch; violations
-    raise AssertionError.  Solver failures propagate with the round index.
+    raise InvariantError.  Solver failures propagate with the round index.
+    An empty path, a non-finite outcome or one outside the domain raises
+    ValueError naming the round.
     """
-    path = np.atleast_2d(np.asarray(path, dtype=float))
-    if path.ndim == 2 and path.shape[1] != config.domain.d and path.shape[0] == config.domain.d:
-        pass  # caller handed a single outcome; atleast_2d already fixed shape
+    path = as_path(path, config.domain.d)
     N, d = path.shape
+    if N == 0:
+        raise ValueError("empty outcome path")
     train = config.training.points
     n0 = train.shape[0]
     for i in range(N):
@@ -98,7 +93,7 @@ def sos_run(
 
     X = np.empty((n0 + N, d))
     X[:n0] = train
-    sol0 = solve_phi(PhiProblem(train, n_training=n0), tol=solver_tol)
+    sol0 = solve_phi(PhiProblem(train), tol=solver_tol)
     phi00_alpha0 = sol0.phi_value
     alpha_prev = sol0.alpha_star
     phi_prev = sol0.phi_value  # phi_{0,n-1}(alpha*_{n-1})
@@ -108,17 +103,16 @@ def sos_run(
     V0 = train.T @ train
     V0_inv = np.linalg.inv(V0)
     sign, logdet_V0 = np.linalg.slogdet(V0)
-    assert sign > 0.0
+    if not sign > 0.0:
+        raise InvariantError("training second-moment matrix is not positive definite")
 
-    ledger = CapitalLedger()
+    ledger = CapitalLedger(N)
     delta_phi = np.empty(N)
     log_info = np.empty(N)
     a_seq = np.empty(N)
-    A_seq = np.empty(N)
     alphas = np.empty((N, d))
     log_info_sum = 0.0
     logK = 0.0
-    sum_dphi = 0.0
 
     for n in range(1, N + 1):
         x = path[n - 1]
@@ -139,9 +133,7 @@ def sos_run(
         V0 = V0 + np.outer(x, x)
 
         try:
-            sol = solve_phi(
-                PhiProblem(Xn, n_training=n0), warm_start=alpha_prev, tol=solver_tol
-            )
+            sol = solve_phi(PhiProblem(Xn), warm_start=alpha_prev, tol=solver_tol)
         except Exception as exc:
             raise RuntimeError(f"solver failed at round {n}") from exc
         alpha_n = sol.alpha_star
@@ -149,9 +141,9 @@ def sos_run(
 
         phi_at_prev = phi_prev + math.log(growth)  # phi_{0,n}(alpha*_{n-1})
         dphi = sol.phi_value - phi_at_prev
-        assert dphi >= -1e-12, f"delta-phi negative at round {n}: {dphi}"
+        if not dphi >= -1e-12:
+            raise InvariantError(f"delta-phi negative at round {n}: {dphi}")
         delta_phi[n - 1] = dphi
-        sum_dphi += dphi
 
         # penalty accumulation: the round term is
         # log|I_n(a*_n)| - log|I_{n-1}(a*_n)| = -log(1 - h) with
@@ -162,39 +154,29 @@ def sos_run(
         log_info_sum += -math.log1p(-h)
         log_info[n - 1] = log_info_sum
 
-        r_all = 1.0 + Xn @ alpha_n
-        A_seq[n - 1] = float(np.sum(1.0 / r_all[:n0]))
-
         m = n + n0
-        kl = sol.phi_value / m  # exact identity with the hindsight value
-        qr = float(alpha_n @ s0) / (2.0 * m)
         hindsight = sol.phi_value
-        approx = hindsight - 0.5 * log_info_sum
-        ledger.n.append(n)
-        ledger.alpha_used.append(alpha_prev)
-        ledger.outcomes.append(x)
-        ledger.logK_true.append(logK)
-        ledger.logK_hindsight.append(hindsight)
-        ledger.logK_approx.append(approx)
-        ledger.LD1.append(hindsight - logK - phi00_alpha0)
-        ledger.LD2.append(0.5 * log_info_sum)
-        ledger.LD3.append(1.5 * math.log(n))
-        ledger.GR.append(kl)
-        ledger.QR.append(qr)
-        ledger.DR.append(log_info_sum / (2.0 * n))
+        i = n - 1
+        ledger.logK_true[i] = logK
+        ledger.logK_hindsight[i] = hindsight
+        ledger.logK_approx[i] = hindsight - 0.5 * log_info_sum
+        ledger.LD1[i] = hindsight - logK - phi00_alpha0
+        ledger.LD2[i] = 0.5 * log_info_sum
+        ledger.LD3[i] = 1.5 * math.log(n)
+        ledger.GR[i] = hindsight / m  # exact KL identity with the hindsight value
+        ledger.QR[i] = float(alpha_n @ s0) / (2.0 * m)
+        ledger.DR[i] = log_info_sum / (2.0 * n)
 
         if n % check_every == 0:
             # independent check of the exact relation alpha* = V*^{-1} s
+            r_all = 1.0 + Xn @ alpha_n
             Vstar = (Xn / r_all[:, None]).T @ Xn
             resid = np.linalg.norm(alpha_n - np.linalg.solve(Vstar, s0))
-            assert resid <= check_tol_28b, (
-                f"exact-relation residual {resid:.3e} at round {n}"
-            )
+            if not resid <= check_tol_28b:
+                raise InvariantError(f"exact-relation residual {resid:.3e} at round {n}")
             sign, ld = np.linalg.slogdet(V0)
-            assert sign > 0.0
-            assert abs(ld - logdet_V0) <= 1e-8 * max(1.0, abs(ld)), (
-                f"determinant drift at round {n}"
-            )
+            if not (sign > 0.0 and abs(ld - logdet_V0) <= 1e-8 * max(1.0, abs(ld))):
+                raise InvariantError(f"determinant drift at round {n}")
 
         alpha_prev = alpha_n
         phi_prev = sol.phi_value
@@ -208,7 +190,6 @@ def sos_run(
         log_info=log_info,
         phi00_alpha0=phi00_alpha0,
         a_n=a_seq,
-        A_n=A_seq,
     )
 
 
@@ -223,45 +204,37 @@ def sos_capital_fast(path, training, alpha_box, checkpoints=None):
     positive.  For outcomes of norm delta the rule agrees with the exact
     optimum to O(delta), and the capital to second order in that gap.
 
+    s and V before each round are prefix sums that do not depend on the
+    bets, so the whole run is a handful of array operations for every d.
+
     Returns (logK_final, logK_at_checkpoints).
     """
-    path = np.atleast_2d(np.asarray(path, dtype=float))
-    N, d = path.shape
     training = np.atleast_2d(np.asarray(training, dtype=float))
-    checkpoints = sorted(checkpoints) if checkpoints else []
-    cps = {}
+    d = training.shape[1]
+    path = as_path(path, d)
+    N = path.shape[0]
+    s = training.sum(axis=0) + _before_each_round(path)
+    V = (training[:, :, None] * training[:, None, :]).sum(axis=0) + _before_each_round(
+        path[:, :, None] * path[:, None, :]
+    )
     if d == 1:
-        # s and V are prefix sums that do not depend on the bets, so the
-        # whole run vectorizes.
-        xs = path[:, 0]
-        V0 = float(np.sum(training[:, 0] ** 2))
-        s0 = float(np.sum(training[:, 0]))
-        bound = float(alpha_box)
-        s_prev = s0 + np.concatenate([[0.0], np.cumsum(xs)[:-1]])
-        V_prev = V0 + np.concatenate([[0.0], np.cumsum(xs * xs)[:-1]])
-        alpha = np.clip(s_prev / V_prev, -bound, bound)
-        gains = np.log1p(alpha * xs)
-        if checkpoints:
-            cum = np.cumsum(gains)
-            cps = {n: float(cum[n - 1]) for n in checkpoints if 1 <= n <= N}
-            return float(cum[-1]) if N else 0.0, cps
-        return float(np.sum(gains)), cps
+        alpha = s / V[:, 0]
+    else:
+        alpha = np.linalg.solve(V, s[:, :, None])[:, :, 0]
     bound = np.broadcast_to(np.asarray(alpha_box, dtype=float), (d,))
-    V_inv = np.linalg.inv(training.T @ training)
-    s = training.sum(axis=0)
-    logK = 0.0
-    ci = 0
-    for n in range(N):
-        x = path[n]
-        alpha = np.clip(V_inv @ s, -bound, bound)
-        logK += math.log(1.0 + float(alpha @ x))
-        s = s + x
-        Vx = V_inv @ x
-        V_inv = V_inv - np.outer(Vx, Vx) / (1.0 + float(x @ Vx))
-        if ci < len(checkpoints) and n + 1 == checkpoints[ci]:
-            cps[n + 1] = logK
-            ci += 1
-    return logK, cps
+    alpha = np.clip(alpha, -bound, bound)
+    gains = np.log1p((alpha * path).sum(axis=1))
+    if not checkpoints:
+        return float(np.sum(gains)), {}
+    cum = np.cumsum(gains)
+    cps = {n: float(cum[n - 1]) for n in checkpoints if 1 <= n <= N}
+    return float(cum[-1]) if N else 0.0, cps
+
+
+def _before_each_round(terms):
+    """Row n holds terms[0] + ... + terms[n - 1]; row 0 is zero."""
+    head = np.zeros((1,) + terms.shape[1:])
+    return np.concatenate([head, np.cumsum(terms, axis=0)[:-1]])[: len(terms)]
 
 
 def deficiency_constants(config: GameConfig):
@@ -307,8 +280,8 @@ def deficiency_bounds(result: SosResult):
 
     Returns a dict of arrays: cum_delta_phi, lemma1_bound
     (C2 log|V_{0,n}|/|V_{0,0}|) and lemma2_bound
-    (d C2 max(0, log tr V_n) + C3).  Asserts the second bound holds at
-    every round.
+    (d C2 max(0, log tr V_n) + C3).  Raises InvariantError unless the
+    second bound holds at every round.
     """
     config = result.config
     c1, c2, c3 = deficiency_constants(config)
@@ -322,7 +295,7 @@ def deficiency_bounds(result: SosResult):
     lemma2 = d * c2 * np.maximum(0.0, np.log(np.maximum(tr_vn, 1e-300))) + c3
     if np.any(cum > lemma2 + 1e-9):
         k = int(np.argmax(cum - lemma2))
-        raise AssertionError(f"deficiency bound violated at round {k + 1}")
+        raise InvariantError(f"deficiency bound violated at round {k + 1}")
     return {
         "C1": c1,
         "C2": c2,

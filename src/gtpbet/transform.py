@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Domain, GameConfig, TrainingSet
+from .domain import Domain, GameConfig, make_training
 
 __all__ = ["ReturnTransform", "transform_returns", "read_price_csv"]
 
@@ -63,19 +63,13 @@ def transform_returns(prices, c: float):
     if F < 1 or F >= T - 1:
         raise ValueError("forecast horizon leaves no live rounds")
     z = (2.0 * returns - s_max - s_min) / (s_max - s_min)
-    if d > 20:
-        raise ValueError("corner training limited to d <= 20")
-    corners = np.stack(
-        np.meshgrid(*[(-1.0, 1.0)] * d, indexing="ij"), axis=-1
-    ).reshape(-1, d)
-    rho = (corners.sum(axis=0) + z[:F].sum(axis=0)) / (corners.shape[0] + F)
+    corners = make_training(Domain.box(-np.ones(d), np.ones(d)), 0.1, "corners_2tod")
+    rho = (corners.points.sum(axis=0) + z[:F].sum(axis=0)) / (corners.n0 + F)
     tr = ReturnTransform(s_max=s_max, s_min=s_min, F=F, rho=rho)
     outcomes = z[F:] - rho
+    # the corners of the shifted box are the centered unit corners
     dom = Domain.box(-1.0 - rho, 1.0 - rho)
-    training = TrainingSet(
-        epsilon0=0.1, points=corners - rho, scheme="corners_2tod"
-    )
-    cfg = GameConfig(domain=dom, training=training)
+    cfg = GameConfig(domain=dom, training=make_training(dom, 0.1, "corners_2tod"))
     return outcomes, cfg, tr
 
 

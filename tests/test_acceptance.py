@@ -34,7 +34,7 @@ from conftest import unit_box_game
 def _problem_1d(seed, n=50):
     rng = np.random.default_rng(seed)
     X = np.concatenate([[-1.0, 1.0], rng.uniform(-0.9, 0.9, size=n)])[:, None]
-    return PhiProblem(X, n_training=2)
+    return PhiProblem(X)
 
 
 @pytest.fixture(scope="module")
@@ -82,7 +82,7 @@ def test_kl_identity_on_every_problem(oracle_problems):
         X = np.concatenate(
             [2.0 * np.eye(d), -2.0 * np.eye(d), rng.uniform(-0.8, 0.8, (80, d))]
         )
-        problems.append(PhiProblem(X, n_training=2 * d))
+        problems.append(PhiProblem(X))
     for prob in problems:
         sol = solve_phi(prob)
         _, check = kl_capital_identity(prob, sol, risk_neutral(prob, sol))

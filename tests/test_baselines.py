@@ -30,7 +30,7 @@ def test_constant_strategy_matches_hindsight_optimum():
     rng = np.random.default_rng(1)
     xs = rng.uniform(-0.8, 0.8, size=100)
     X = np.concatenate([[-1.0, 1.0], xs])[:, None]
-    sol = solve_phi(PhiProblem(X, n_training=2))
+    sol = solve_phi(PhiProblem(X))
     live = constant_strategy_capital(sol.alpha_star, xs[:, None])
     training_part = math.log(1.0 - sol.alpha_star[0]) + math.log(
         1.0 + sol.alpha_star[0]

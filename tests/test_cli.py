@@ -88,3 +88,13 @@ def test_unknown_scenario(tmp_path):
     f = write_config(tmp_path, "scenario = nope\n")
     with pytest.raises(ValueError):
         main(["run", str(f)])
+
+
+def test_selftest_without_test_suite(tmp_path, monkeypatch, capsys):
+    # an installed package has no tests/ next to its source tree
+    import gtpbet.cli as cli
+
+    fake = tmp_path / "site-packages" / "gtpbet" / "cli.py"
+    monkeypatch.setattr(cli, "__file__", str(fake))
+    assert main(["selftest"]) != 0
+    assert "no test suite" in capsys.readouterr().err

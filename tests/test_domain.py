@@ -4,14 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from gtpbet import (
-    CapitalLedger,
-    CollateralError,
-    Domain,
-    TrainingSet,
-    make_training,
-    step_capital,
-)
+from gtpbet import CapitalLedger, Domain, TrainingSet, make_training
 from gtpbet.domain import LEDGER_COLUMNS
 
 
@@ -100,45 +93,11 @@ def test_axis_training_certifies_margin(d):
     assert worst >= eps0 - 1e-12
 
 
-def test_step_capital_examples():
-    led = CapitalLedger()
-    step_capital(led, [0.0], [0.3])
-    assert led.logK_true[-1] == 0.0
-    step_capital(led, [0.5], [0.2])
-    assert led.logK_true[-1] == pytest.approx(math.log(1.1))
-    led2 = CapitalLedger()
-    step_capital(led2, [0.1, 0.1], [-0.5, -0.5])
-    # inner product -0.1, cross-checked by direct arithmetic
-    assert led2.logK_true[-1] == pytest.approx(math.log(0.9), abs=1e-15)
-
-
-def test_step_capital_collateral_error_names_round():
-    led = CapitalLedger()
-    step_capital(led, [0.5], [0.5])
-    with pytest.raises(CollateralError, match="round 2"):
-        step_capital(led, [2.0], [-0.5])
-
-
-def test_step_capital_concatenation():
-    rng = np.random.default_rng(3)
-    xs = rng.uniform(-0.4, 0.4, size=40)
-    al = rng.uniform(-0.9, 0.9, size=40)
-    full = CapitalLedger()
-    for a, x in zip(al, xs):
-        step_capital(full, [a], [x])
-    first, second = CapitalLedger(), CapitalLedger()
-    for a, x in zip(al[:20], xs[:20]):
-        step_capital(first, [a], [x])
-    for a, x in zip(al[20:], xs[20:]):
-        step_capital(second, [a], [x])
-    assert first.logK_true[-1] + second.logK_true[-1] == pytest.approx(
-        full.logK_true[-1], abs=1e-12
-    )
-
-
 def test_ledger_csv_format(tmp_path):
-    led = CapitalLedger()
-    step_capital(led, [0.25], [0.5], logK_hindsight=0.125, GR=1.0 / 3.0)
+    led = CapitalLedger(1)
+    led.logK_true[0] = math.log(1.125)
+    led.logK_hindsight[0] = 0.125
+    led.GR[0] = 1.0 / 3.0
     out = tmp_path / "ledger.csv"
     led.to_csv(out)
     text = out.read_text()

@@ -28,7 +28,7 @@ def grid_argmax(X, lo=-1.0 + 1e-6, hi=1.0 - 1e-6, res=1e-5):
 def make_problem(xs, training=(-1.0, 1.0)):
     tr = np.asarray(training, dtype=float)
     X = np.concatenate([tr, np.asarray(xs, dtype=float)])[:, None]
-    return PhiProblem(X, n_training=tr.size)
+    return PhiProblem(X)
 
 
 def test_symmetric_data_has_zero_optimum():

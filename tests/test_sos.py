@@ -1,9 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gtpbet
 from gtpbet import (
+    constant_strategy_capital,
     deficiency_bounds,
     deficiency_constants,
     slln2_ratio,
@@ -186,3 +192,108 @@ def test_summary_fields(rademacher_run):
     for key in ("N", "logK_true", "logK_hindsight", "logK_approx", "C1", "C2"):
         assert key in out
     assert out["N"] == 5000
+
+
+def reference_fast_rule(path, training, alpha_box):
+    """The first-order rule played one round at a time: before round n,
+    s and V sum the training and the outcomes of rounds 1..n-1, and the bet
+    is V^{-1} s clipped to the box.  Returns the per-round log gains and
+    the bets."""
+    n, d = path.shape
+    s0 = training.sum(axis=0)
+    V0 = np.zeros((d, d))
+    for t in training:
+        V0 += np.outer(t, t)
+    acc_s, acc_V = np.zeros(d), np.zeros((d, d))
+    inner, alphas = [], []
+    for x in path:
+        s, V = s0 + acc_s, V0 + acc_V
+        alpha = s / V[0] if d == 1 else np.linalg.solve(V, s)
+        alpha = np.clip(alpha, -alpha_box, alpha_box)
+        alphas.append(alpha)
+        inner.append(alpha @ x)
+        acc_s = acc_s + x
+        acc_V = acc_V + np.outer(x, x)
+    return np.log1p(np.array(inner)), np.array(alphas)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("drift", [0.0, 0.02])
+def test_fast_rule_matches_per_round_reference(d, drift):
+    rng = np.random.default_rng(40 + d)
+    path = rng.uniform(-0.05, 0.05, size=(3000, d)) + drift
+    c = 0.05 * math.sqrt(d) / 0.9
+    train = c * np.concatenate([np.eye(d), -np.eye(d)])
+    bound = 4.0
+    gains, alphas = reference_fast_rule(path, train, bound)
+    if drift:  # the drifting path pushes the bets onto the box
+        assert np.any(np.abs(alphas) == bound)
+    every = range(1, len(path) + 1)
+    total, _ = sos_capital_fast(path, train, bound)
+    last, cps = sos_capital_fast(path, train, bound, checkpoints=every)
+    running = np.cumsum(gains)
+    got = np.array([cps[n] for n in every])
+    if d == 1:
+        # same arithmetic in the same order: bit-identical
+        assert total == np.sum(gains)
+        assert last == running[-1]
+        np.testing.assert_array_equal(got, running)
+    else:
+        tol = 1e-10 * max(1.0, abs(running[-1]))
+        assert abs(total - running[-1]) <= tol
+        assert abs(last - running[-1]) <= tol
+        np.testing.assert_allclose(got, running, rtol=0.0, atol=tol)
+
+
+def test_flat_path_in_one_dimensional_game():
+    flat = np.array([0.1, -0.2, 0.3, 0.05])
+    col = flat[:, None]
+    res = sos_run(unit_box_game(0.1), flat)
+    assert res.N == 4
+    np.testing.assert_array_equal(
+        res.ledger.logK_true, sos_run(unit_box_game(0.1), col).ledger.logK_true
+    )
+    train = np.array([[2.0], [-2.0]])
+    assert sos_capital_fast(flat, train, 0.5) == sos_capital_fast(col, train, 0.5)
+    assert constant_strategy_capital([0.3], flat) == constant_strategy_capital(
+        [0.3], col
+    )
+
+
+def test_non_finite_outcome_names_round():
+    path = np.array([[0.1], [np.nan], [0.2]])
+    with pytest.raises(ValueError, match="non-finite outcome at round 2"):
+        sos_run(unit_box_game(0.1), path)
+    path[1, 0] = np.inf
+    with pytest.raises(ValueError, match="non-finite outcome at round 2"):
+        sos_capital_fast(path, np.array([[2.0], [-2.0]]), 0.5)
+    with pytest.raises(ValueError, match="non-finite outcome at round 2"):
+        constant_strategy_capital([0.3], path)
+
+
+def test_empty_path_rejected():
+    with pytest.raises(ValueError, match="empty"):
+        sos_run(unit_box_game(0.1), np.zeros((0, 1)))
+
+
+def test_invariant_checks_survive_optimize_flag():
+    # a negative tolerance fails the exact-relation check at round 1; the
+    # check must raise even with asserts stripped by python -O
+    code = (
+        "import numpy as np\n"
+        "from gtpbet import Domain, GameConfig, InvariantError, make_training, sos_run\n"
+        "dom = Domain.box([-1.0], [1.0])\n"
+        "cfg = GameConfig(domain=dom, training=make_training(dom, 0.1))\n"
+        "try:\n"
+        "    sos_run(cfg, np.full((3, 1), 0.2), check_every=1, check_tol_28b=-1.0)\n"
+        "except InvariantError as exc:\n"
+        "    print('InvariantError:', exc)\n"
+    )
+    src = str(Path(gtpbet.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "InvariantError: exact-relation residual" in proc.stdout
