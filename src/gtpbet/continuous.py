@@ -46,7 +46,7 @@ class PricePath:
             v = v.T
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
-        if np.any(np.diff(t) <= 0.0):
+        if np.any(t[1:] <= t[:-1]):
             raise ValueError("time grid must be strictly increasing")
         if np.any(v <= 0.0):
             raise ValueError("prices must be strictly positive")
@@ -178,26 +178,42 @@ def embed(path: PricePath, delta: float) -> Embedding:
     )
 
 
+def _grid(T, grid_step):
+    """Number of grid steps over [0, T] and their common length.  A
+    degenerate grid is refused here, before anything is allocated."""
+    for name, value in (("T", T), ("grid_step", grid_step)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    K = int(math.ceil(T / grid_step))
+    return K, T / K
+
+
 def gen_gbm(mu, sigma, T, grid_step, seed, s0=1.0) -> PricePath:
-    """Exact log-Euler geometric Brownian motion, bit-reproducible by seed."""
+    """Exact log-Euler geometric Brownian motion, bit-reproducible by seed.
+
+    The normal draws are scaled in place and the log path is summed
+    straight into the returned array, so at most two arrays of the path's
+    size are alive at once."""
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
     d = mu.size
     if abs(np.linalg.det(sigma)) == 0.0:
         raise np.linalg.LinAlgError("volatility matrix is singular")
-    if grid_step <= 0.0:
-        raise ValueError("grid_step must be positive")
-    K = int(math.ceil(T / grid_step))
-    times = np.linspace(0.0, T, K + 1)
-    h = T / K
+    K, h = _grid(T, grid_step)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((K, d))
-    drift = (mu - 0.5 * np.diag(sigma @ sigma.T)) * h
-    incr = drift[None, :] + math.sqrt(h) * z @ sigma.T
-    logS = np.vstack([np.zeros(d), np.cumsum(incr, axis=0)])
-    values = float(s0) * np.exp(logS)
+    z *= math.sqrt(h)
+    incr = z @ sigma.T
+    del z
+    incr += (mu - 0.5 * np.diag(sigma @ sigma.T)) * h
+    values = np.empty((K + 1, d))
+    values[0] = 0.0
+    np.cumsum(incr, axis=0, out=values[1:])
+    del incr
+    np.exp(values, out=values)
+    values *= float(s0)
     return PricePath(
-        times=times,
+        times=np.linspace(0.0, T, K + 1),
         values=values,
         meta={"kind": "gbm", "mu": mu, "sigma": sigma, "seed": seed},
     )
@@ -206,84 +222,90 @@ def gen_gbm(mu, sigma, T, grid_step, seed, s0=1.0) -> PricePath:
 def _fgn_davies_harte(n, hurst, rng, dtype=np.float64):
     """Fractional Gaussian noise with exact covariance, unit steps.
 
-    dtype=float32 halves the memory of the circulant embedding, which
-    matters for the ~1e8-point grids the rough-path experiments need.
+    The circulant embedding (Davies & Harte 1987) lives in one length-2n
+    buffer of dtype, which FFTPACK's real transforms overwrite in their
+    packed order: mode 0, then the real and imaginary parts of modes
+    1..n-1, then the real mode n.  The peak is that buffer plus pocketfft's
+    cached plan and its scratch, about three buffers of 2n values of dtype.
+    Returns a view of the first n values of the buffer.
     """
-    from scipy import fft as sfft
+    from scipy import fftpack
 
     e = 2.0 * hurst
-    # the three-term difference cancels ~2H digits of k**e, so the
-    # autocovariance itself must be formed in float64 before any downcast
-    k = np.arange(n + 1, dtype=np.float64)
-    acf = (k + 1.0) ** e
-    acf += np.abs(k - 1.0) ** e
-    acf -= 2.0 * k**e
-    acf *= 0.5
-    del k
-    acf = acf.astype(dtype, copy=False)
     m = 2 * n
-    circ = np.empty(m, dtype=dtype)
-    circ[: n + 1] = acf
-    circ[n + 1 :] = acf[-2:0:-1]
+    buf = np.empty(m, dtype=dtype)
+    # autocovariance 0.5 ((k+1)**e + |k-1|**e - 2 k**e) for k = 0..n from one
+    # power table.  The three-term difference cancels ~2H digits of k**e, so
+    # it is formed in float64 before any downcast
+    p = np.arange(n + 2, dtype=np.float64)
+    p **= e
+    # in place for float64; a narrower dtype needs a float64 scratch
+    acf = buf[: n + 1] if buf.dtype == np.float64 else np.empty(n + 1)
+    acf[0] = p[1] + p[1]
+    np.add(p[2:], p[:n], out=acf[1:])
+    p *= 2.0
+    acf -= p[: n + 1]
+    del p
+    np.multiply(acf, 0.5, out=buf[: n + 1])
     del acf
-    eig = sfft.rfft(circ)
-    del circ
-    eig = np.ascontiguousarray(eig.real)
+    buf[n + 1 :] = buf[n - 1 : 0 : -1]
+    # eigenvalues of the circulant: mode 0 in buf[0], mode k = 1..n in
+    # buf[2k - 1]; the even slots hold imaginary parts, zero up to rounding
+    buf = fftpack.rfft(buf, overwrite_x=True)
+    eig = (buf[:1], buf[1::2])
     # rounding floor of the length-m transform; anything below it means the
     # embedding itself is indefinite rather than numerically fuzzy, which
     # the circulant embedding of fGn never is for H in (0, 1)
-    tol = max(1e-10, np.finfo(dtype).eps * math.sqrt(m)) * float(np.max(eig))
-    if np.any(eig < -tol):
+    tol = max(1e-10, np.finfo(dtype).eps * math.sqrt(m)) * max(float(v.max()) for v in eig)
+    if min(v.min() for v in eig) < -tol:
         raise InvariantError("circulant embedding of fGn is not positive semidefinite")
-    np.maximum(eig, 0.0, out=eig)
-    # Hermitian-symmetric Gaussian spectrum -> real noise via irfft
-    half = eig.size  # n + 1; m is even, so both ends are real modes
-    eig *= m / 2.0
-    np.sqrt(eig, out=eig)
-    wr = rng.standard_normal(half, dtype=dtype)
-    wi = rng.standard_normal(half, dtype=dtype)
-    wr[0] *= math.sqrt(2.0)
-    wr[-1] *= math.sqrt(2.0)
-    wi[0] = 0.0
-    wi[-1] = 0.0
-    wr *= eig
-    wi *= eig
-    del eig
-    spec = np.empty(half, dtype=np.result_type(dtype, np.complex64))
-    spec.real = wr
-    spec.imag = wi
-    del wr, wi
-    noise = sfft.irfft(spec, n=m)
-    del spec
-    return np.ascontiguousarray(noise[:n])
+    for v in eig:
+        np.maximum(v, 0.0, out=v)
+        v *= m / 2.0
+        np.sqrt(v, out=v)
+    # Hermitian-symmetric Gaussian spectrum sqrt(eig m / 2) (wr + i wi), with
+    # the two real modes scaled by sqrt 2 -> real noise via irfft.  Each mode
+    # k = 1..n-1 carries its amplitude in both of its slots, and the normals
+    # are drawn as the wr block and then the wi block, one reused array
+    buf[2::2] = buf[1:-1:2]
+    w = np.empty(n + 1, dtype=dtype)
+    rng.standard_normal(dtype=dtype, out=w)
+    w[0] *= math.sqrt(2.0)
+    w[-1] *= math.sqrt(2.0)
+    buf[:1] *= w[:1]
+    buf[1::2] *= w[1:]
+    rng.standard_normal(dtype=dtype, out=w)
+    buf[2::2] *= w[1:-1]
+    del w
+    buf = fftpack.irfft(buf, overwrite_x=True)
+    return buf[:n]
 
 
 def gen_fbm(hurst, scale, T, grid_step, seed, s0=1.0, d=1, dtype=np.float64) -> PricePath:
     """Exponential of fractional Brownian motion, one independent fBm per
     component.  Circulant (Davies-Harte) embedding gives exact increment
-    covariance.  dtype=float32 cuts the peak memory of the spectral
-    synthesis roughly in half (the running sum is always accumulated in
-    float64)."""
+    covariance.  The noise of each component is synthesized in one
+    buffer of 2K values of dtype and then summed in place into the float64
+    path.  The synthesis peaks at about three buffers of 2K values of dtype
+    (the buffer, pocketfft's plan, which SciPy keeps cached, and its
+    scratch); dtype=float32 halves that, but not the (K+1) x d float64
+    path."""
     if not 0.0 < hurst < 1.0:
         raise ValueError("hurst must lie in (0, 1)")
-    K = int(math.ceil(T / grid_step))
-    times = np.linspace(0.0, T, K + 1)
-    h = T / K
+    K, h = _grid(T, grid_step)
     rng = np.random.default_rng(seed)
     paths = np.empty((K + 1, d))
     for j in range(d):
-        fgn = _fgn_davies_harte(K, hurst, rng, dtype=np.dtype(dtype))
         paths[0, j] = 0.0
-        np.cumsum(fgn, dtype=np.float64, out=paths[1:, j])
-        del fgn
+        paths[1:, j] = _fgn_davies_harte(K, hurst, rng, dtype=np.dtype(dtype))
+        np.cumsum(paths[1:, j], out=paths[1:, j])
         paths[:, j] *= h**hurst
     paths *= scale
     np.exp(paths, out=paths)
     paths *= float(s0)
-    values = paths
     return PricePath(
-        times=times,
-        values=values,
+        times=np.linspace(0.0, T, K + 1),
+        values=paths,
         meta={"kind": "fbm", "H": hurst, "scale": scale, "seed": seed},
     )
 

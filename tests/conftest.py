@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import gtpbet
 from gtpbet import Domain, GameConfig, TrainingSet, make_training
 
 
@@ -26,3 +32,31 @@ def rademacher_run():
     rng = np.random.default_rng(7)
     path = rng.choice([-0.5, 0.5], size=(5000, 1))
     return sos_run(unit_box_game(0.1), path)
+
+
+def peak_rss_ratio(call):
+    """Rise of the peak RSS over one path-generating call, divided by the
+    bytes of the path it returns.
+
+    `call` is an expression over `gen_fbm`, `gen_gbm` and `np`, run in a
+    fresh interpreter once numpy, scipy.fft and scipy.fftpack are imported,
+    so the rise is the call's own working memory.  Linux only: ru_maxrss
+    is in KiB there.
+    """
+    code = (
+        "import resource\n"
+        "import numpy as np, scipy.fft, scipy.fftpack\n"
+        "from gtpbet.continuous import gen_fbm, gen_gbm\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        f"path = {call}\n"
+        "rise = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before\n"
+        "print(rise * 1024 / path.values.nbytes)\n"
+    )
+    src = str(Path(gtpbet.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return float(proc.stdout)

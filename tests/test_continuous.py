@@ -1,7 +1,9 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from scipy import fft
 
 from gtpbet import (
     PricePath,
@@ -11,6 +13,7 @@ from gtpbet import (
     girsanov_rate_experiment,
     holder_experiment,
 )
+from conftest import peak_rss_ratio
 
 
 def _reference_stops(values, delta):
@@ -209,6 +212,120 @@ def test_gen_fbm_float32_matches_statistics():
     v64 = np.var(np.diff(np.log(p64.values[:, 0])))
     v32 = np.var(np.diff(np.log(p32.values[:, 0])))
     assert v32 == pytest.approx(v64, rel=0.05)
+
+
+def _reference_fgn(n, hurst, rng, dtype):
+    """Plain Davies-Harte synthesis: the autocovariance from three power
+    passes, complex scipy.fft transforms, and both normal blocks drawn whole."""
+    e = 2.0 * hurst
+    k = np.arange(n + 1, dtype=np.float64)
+    acf = (0.5 * ((k + 1.0) ** e + np.abs(k - 1.0) ** e - 2.0 * k**e)).astype(dtype)
+    m = 2 * n
+    eig = fft.rfft(np.concatenate([acf, acf[-2:0:-1]])).real
+    amp = np.sqrt(np.maximum(eig, 0.0) * (m / 2.0))
+    wr = rng.standard_normal(n + 1, dtype=dtype)
+    wi = rng.standard_normal(n + 1, dtype=dtype)
+    wr[0] *= math.sqrt(2.0)
+    wr[-1] *= math.sqrt(2.0)
+    wi[0] = wi[-1] = 0.0
+    spec = np.empty(n + 1, dtype=np.result_type(dtype, np.complex64))
+    spec.real = wr * amp
+    spec.imag = wi * amp
+    return fft.irfft(spec, n=m)[:n]
+
+
+def _reference_fbm(hurst, scale, T, grid_step, seed, s0, d, dtype):
+    """exp of the scaled running sums of the plain noise, one column each."""
+    K = int(math.ceil(T / grid_step))
+    h = T / K
+    rng = np.random.default_rng(seed)
+    cols = [
+        np.concatenate([[0.0], np.cumsum(_reference_fgn(K, hurst, rng, dtype), dtype=np.float64)])
+        * h**hurst
+        for _ in range(d)
+    ]
+    return np.linspace(0.0, T, K + 1), float(s0) * np.exp(scale * np.stack(cols, axis=1))
+
+
+def _reference_gbm(mu, sigma, T, grid_step, seed, s0):
+    """Plain log-Euler GBM: increments, their stacked running sum, exp."""
+    mu = np.asarray(mu, dtype=float)
+    K = int(math.ceil(T / grid_step))
+    h = T / K
+    z = np.random.default_rng(seed).standard_normal((K, mu.size))
+    drift = (mu - 0.5 * np.diag(sigma @ sigma.T)) * h
+    incr = drift[None, :] + math.sqrt(h) * z @ sigma.T
+    logS = np.vstack([np.zeros(mu.size), np.cumsum(incr, axis=0)])
+    return np.linspace(0.0, T, K + 1), float(s0) * np.exp(logS)
+
+
+_FBM_CASES = [
+    (K, hurst, d, dtype)
+    for K in (1, 2, 3, 7)
+    for hurst in (0.25, 0.3, 0.5, 0.8)
+    for d in (1, 2)
+    for dtype in (np.float64, np.float32)
+] + [(10**6 + 1, hurst, 1, dtype) for hurst in (0.3, 0.5, 0.8) for dtype in (np.float64, np.float32)]
+_FBM_CASES += [(10**6 + 1, 0.3, 2, np.float32)]
+
+
+@pytest.mark.parametrize("K, hurst, d, dtype", _FBM_CASES)
+def test_gen_fbm_bit_identical_to_plain_synthesis(K, hurst, d, dtype):
+    # a power-of-two step makes T / grid_step exactly K; 10**6 + 1 gives a
+    # transform length with large prime factors, and H = 0.25 and 0.5 hit
+    # NumPy's sqrt and identity shortcuts for ** 0.5 and ** 1
+    step = 2.0**-20
+    p = gen_fbm(hurst, 0.2, K * step, step, 17, s0=2.5, d=d, dtype=dtype)
+    times, values = _reference_fbm(hurst, 0.2, K * step, step, 17, 2.5, d, dtype)
+    assert np.array_equal(p.times, times)
+    assert np.array_equal(p.values, values)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_gen_gbm_bit_identical_to_plain_synthesis(d):
+    sigma = np.array([[0.3, 0.1, 0.0], [-0.05, 0.2, 0.02], [0.1, -0.1, 0.25]])[:d, :d]
+    mu = [0.1, -0.05, 0.02][:d]
+    for T, grid_step in ((1.0, 0.01), (3.0, 1e-5)):
+        p = gen_gbm(mu, sigma, T, grid_step, 9, s0=2.5)
+        times, values = _reference_gbm(mu, sigma, T, grid_step, 9, 2.5)
+        assert np.array_equal(p.times, times)
+        assert np.array_equal(p.values, values)
+
+
+@pytest.mark.parametrize(
+    "T, grid_step, name",
+    [
+        (0.0, 0.01, "T"),
+        (-1.0, 0.01, "T"),
+        (math.nan, 0.01, "T"),
+        (math.inf, 0.01, "T"),
+        (1.0, 0.0, "grid_step"),
+        (1.0, -0.01, "grid_step"),
+        (1.0, math.nan, "grid_step"),
+        (1.0, math.inf, "grid_step"),
+    ],
+)
+def test_generators_reject_degenerate_grids(T, grid_step, name):
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+        gen_fbm(0.3, 0.1, T, grid_step, 0)
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+        gen_gbm([0.1], [[0.3]], T, grid_step, 0)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss units are Linux's")
+def test_gen_fbm_peak_memory():
+    # the transform buffer of 2K doubles, pocketfft's plan and its scratch
+    # make six path sizes (seven here: below glibc's 32 MiB mmap threshold
+    # the freed normal draws stay in the heap); a second copy of the
+    # spectrum would reach ten
+    assert peak_rss_ratio("gen_fbm(0.3, 0.1, 1.0, 2**-21, 1)") <= 8.0
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss units are Linux's")
+def test_gen_gbm_peak_memory():
+    # the normal draws, their increments and the path, about two path sizes
+    call = "gen_gbm([0.1, 0.1], 0.3 * np.eye(2), 100.0, 4.4e-5, 1)"
+    assert peak_rss_ratio(call) <= 3.5
 
 
 def test_gen_fbm_rejects_bad_hurst():
