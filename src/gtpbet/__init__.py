@@ -33,6 +33,7 @@ from .domain import (
     TrainingSet,
     as_path,
     make_training,
+    running_moments,
 )
 from .model_select import NestedGameReport, select_dimension
 from .optimizer import (
@@ -77,6 +78,7 @@ __all__ = [
     "UniversalPortfolioConfig",
     "appendix_yn",
     "as_path",
+    "running_moments",
     "constant_strategy_capital",
     "deficiency_bounds",
     "deficiency_constants",

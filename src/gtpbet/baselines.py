@@ -34,24 +34,20 @@ class UniversalPortfolioConfig:
     """Grid of M constant-proportion accounts over the prudent interval.
 
     Accounts sit at the midpoints of M equal-width subintervals of
-    interval = (lo, hi).  include_training prepends the two outcomes
-    {-1, +1} to every account's product (the trained variant).
+    [-1, 1].  include_training prepends the two outcomes {-1, +1} to
+    every account's product (the trained variant).
     """
 
     M: int = 100
-    interval: tuple = (-1.0, 1.0)
     include_training: bool = False
 
     def __post_init__(self):
         if self.M < 2:
             raise ValueError("need at least two accounts")
-        if self.interval[1] <= self.interval[0]:
-            raise ValueError("empty prudent interval")
 
     @property
     def account_alphas(self) -> np.ndarray:
-        lo, hi = self.interval
-        edges = np.linspace(lo, hi, self.M + 1)
+        edges = np.linspace(-1.0, 1.0, self.M + 1)
         return 0.5 * (edges[:-1] + edges[1:])
 
 
@@ -64,11 +60,7 @@ def universal_portfolio(config: UniversalPortfolioConfig, path) -> np.ndarray:
     hits zero (boundary alphas with trained variant) simply stop
     contributing.
     """
-    path = np.asarray(path, dtype=float)
-    if path.ndim == 2:
-        if path.shape[1] != 1:
-            raise ValueError("universal portfolio supports one betting item only")
-        path = path[:, 0]
+    path = as_path(path, 1)[:, 0]
     alphas = config.account_alphas
     rounds = path[:, None] * alphas[None, :] + 1.0  # (n, M)
     if np.any(rounds < 0.0):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Domain, GameConfig, InvariantError, make_training
+from .domain import Domain, GameConfig, InvariantError, as_prices, make_training
 from .sos import sos_capital_fast
 
 __all__ = [
@@ -31,25 +31,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PricePath:
-    """Strictly positive prices on a strictly increasing time grid."""
+    """Strictly positive, finite prices on a strictly increasing time grid,
+    one row per time (a 1-D values array is one column)."""
 
     times: np.ndarray  # (K+1,)
     values: np.ndarray  # (K+1, d)
-    meta: dict | None = None
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
-        v = np.atleast_2d(np.asarray(self.values, dtype=float))
-        if v.shape[0] == t.size and v.ndim == 2:
-            pass
-        elif v.shape == (1, t.size):
-            v = v.T
+        v = as_prices(self.values)
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
-        if np.any(t[1:] <= t[:-1]):
+        if t.ndim != 1 or v.shape[0] != t.size:
+            raise ValueError(f"{v.shape[0]} price rows for {t.size} times")
+        if not np.all(t[1:] > t[:-1]):
             raise ValueError("time grid must be strictly increasing")
-        if np.any(v <= 0.0):
-            raise ValueError("prices must be strictly positive")
 
     @property
     def d(self) -> int:
@@ -212,11 +208,7 @@ def gen_gbm(mu, sigma, T, grid_step, seed, s0=1.0) -> PricePath:
     del incr
     np.exp(values, out=values)
     values *= float(s0)
-    return PricePath(
-        times=np.linspace(0.0, T, K + 1),
-        values=values,
-        meta={"kind": "gbm", "mu": mu, "sigma": sigma, "seed": seed},
-    )
+    return PricePath(times=np.linspace(0.0, T, K + 1), values=values)
 
 
 def _fgn_davies_harte(n, hurst, rng, dtype=np.float64):
@@ -303,11 +295,7 @@ def gen_fbm(hurst, scale, T, grid_step, seed, s0=1.0, d=1, dtype=np.float64) -> 
     paths *= scale
     np.exp(paths, out=paths)
     paths *= float(s0)
-    return PricePath(
-        times=np.linspace(0.0, T, K + 1),
-        values=paths,
-        meta={"kind": "fbm", "H": hurst, "scale": scale, "seed": seed},
-    )
+    return PricePath(times=np.linspace(0.0, T, K + 1), values=paths)
 
 
 _DEFAULT_DELTAS = (0.02, 0.01, 0.005, 0.0025)
@@ -320,7 +308,7 @@ def _run_embedded_sos(emb: Embedding, epsilon0: float = 0.1):
     d = emb.outcomes.shape[1]
     training = game_config_for_embedding(emb.delta, d, epsilon0).training.points
     bound = 1.0 / training.max()
-    logK, _ = sos_capital_fast(emb.outcomes, training, bound)
+    logK = float(np.sum(sos_capital_fast(emb.outcomes, training, bound)))
     if not emb.N:
         return logK, np.zeros(d)
     # residual period: the final sub-delta return at the standing bet

@@ -23,7 +23,9 @@ __all__ = [
     "CollateralError",
     "InvariantError",
     "as_path",
+    "as_prices",
     "make_training",
+    "running_moments",
 ]
 
 _BOUNDARY_SLACK = 1e-12  # absorbs transform rounding on membership tests
@@ -43,9 +45,8 @@ class InvariantError(AssertionError):
 class Domain:
     """Compact outcome region.
 
-    kind is one of "box", "sphere" or "explicit_bound".  A box is given
-    by component-wise bounds lo < 0 < hi; a sphere (ball) and an
-    explicit bound are given by their radius.
+    kind is "box" or "sphere".  A box is given by component-wise bounds
+    lo < 0 < hi; a sphere (ball) by its radius.
     """
 
     d: int
@@ -66,7 +67,7 @@ class Domain:
                 raise ValueError("box must contain the origin in its interior")
             object.__setattr__(self, "lo", lo)
             object.__setattr__(self, "hi", hi)
-        elif self.kind in ("sphere", "explicit_bound"):
+        elif self.kind == "sphere":
             if self.radius is None or self.radius <= 0.0:
                 raise ValueError("radius must be positive")
         else:
@@ -80,10 +81,6 @@ class Domain:
     @classmethod
     def sphere(cls, d: int, radius: float) -> "Domain":
         return cls(d=d, kind="sphere", radius=radius)
-
-    @classmethod
-    def explicit_bound(cls, d: int, radius: float) -> "Domain":
-        return cls(d=d, kind="explicit_bound", radius=radius)
 
     @property
     def delta_bar(self) -> float:
@@ -140,7 +137,7 @@ class TrainingSet:
         return self.points.shape[1]
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+        pts = as_path(self.points)
         object.__setattr__(self, "points", pts)
         if np.linalg.matrix_rank(pts) != pts.shape[1]:
             raise ValueError("training points must span R^d")
@@ -186,23 +183,65 @@ class GameConfig:
             raise ValueError("training dimension does not match domain")
 
 
-def as_path(x, d: int) -> np.ndarray:
+def as_path(x, d: int | None = None) -> np.ndarray:
     """An outcome path as an (N, d) float array, validated once.
 
-    A 1-D array is N outcomes when d = 1 and one outcome when d > 1.
-    Raises ValueError for any other shape and for a NaN or infinite
+    A 2-D array keeps its shape.  A 1-D array is N scalar outcomes when d
+    is 1 or omitted, and one outcome when d > 1.  Raises ValueError for
+    any other shape, for a width other than d, and for a NaN or infinite
     component, naming the first round that holds one.
     """
     path = np.asarray(x, dtype=float)
-    if path.ndim == 1 and d == 1:
-        path = path[:, None]
-    path = np.atleast_2d(path)
-    if path.ndim != 2 or path.shape[1] != d:
-        raise ValueError(f"outcome path of shape {np.shape(x)} does not hold {d}-vectors")
+    if path.ndim == 1:
+        path = path[:, None] if d in (None, 1) else path[None, :]
+    if path.ndim != 2 or d is not None and path.shape[1] != d:
+        raise ValueError(f"outcome path of shape {np.shape(x)} is not (N, {d or 'd'})")
     bad = np.flatnonzero(~np.isfinite(path).all(axis=1))
     if bad.size:
         raise ValueError(f"non-finite outcome at round {bad[0] + 1}")
     return path
+
+
+def as_prices(x) -> np.ndarray:
+    """A price table as a (T, d) float array, validated once.
+
+    A 2-D array keeps its shape and a 1-D array is one column.  Raises
+    ValueError for any other shape and for a NaN, infinite or
+    non-positive price, naming the first row (from 0) that holds one.
+    """
+    prices = np.asarray(x, dtype=float)
+    if prices.ndim == 1:
+        prices = prices[:, None]
+    if prices.ndim != 2:
+        raise ValueError(f"price table of shape {np.shape(x)} is not (T, d)")
+    bad = np.flatnonzero(~np.isfinite(prices).all(axis=1))
+    if bad.size:
+        raise ValueError(f"non-finite price at row {bad[0]}")
+    bad = np.flatnonzero((prices <= 0.0).any(axis=1))
+    if bad.size:
+        raise ValueError(f"prices must be strictly positive (row {bad[0]})")
+    return prices
+
+
+def running_moments(path, s0=None, V0=None):
+    """s_n = s0 + x_1 + ... + x_n and V_n = V0 + x_1 x_1' + ... + x_n x_n'
+    for n = 0..N, as arrays of shape (N + 1, d) and (N + 1, d, d).
+
+    The one place the package accumulates these sums.  Rounds are added
+    one at a time onto the start row (zero when s0 or V0 is omitted), so
+    row n is exactly the running sum a round-by-round loop would hold.
+    """
+    path = as_path(path)
+    N, d = path.shape
+    s = np.empty((N + 1, d))
+    s[0] = 0.0 if s0 is None else s0
+    s[1:] = path
+    V = np.empty((N + 1, d, d))
+    V[0] = 0.0 if V0 is None else V0
+    np.multiply(path[:, :, None], path[:, None, :], out=V[1:])
+    np.cumsum(s, axis=0, out=s)
+    np.cumsum(V, axis=0, out=V)
+    return s, V
 
 
 # ledger CSV column order, one row per round

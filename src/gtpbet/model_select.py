@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Domain, GameConfig, InvariantError, TrainingSet, make_training
+from .domain import Domain, GameConfig, InvariantError, TrainingSet, as_path, make_training
 from .sos import sos_run
 
 __all__ = ["NestedGameReport", "select_dimension"]
@@ -50,7 +50,7 @@ def select_dimension(paths, epsilon0: float = 0.1) -> NestedGameReport:
     paths is an (N, d_max) array of per-item outcomes in [-1, 1]; items
     are nested in the given column order.  Ties break toward smaller d.
     """
-    paths = np.atleast_2d(np.asarray(paths, dtype=float))
+    paths = as_path(paths)
     N, d_max = paths.shape
     if N < 1:
         raise ValueError("empty outcome sequence")

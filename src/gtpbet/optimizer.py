@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .domain import as_path, running_moments
+
 __all__ = [
     "PhiProblem",
     "PhiSolution",
@@ -43,7 +45,7 @@ class PhiProblem:
     outcomes: np.ndarray
 
     def __post_init__(self):
-        X = np.atleast_2d(np.asarray(self.outcomes, dtype=float))
+        X = as_path(self.outcomes)
         object.__setattr__(self, "outcomes", X)
         if np.linalg.matrix_rank(X) != X.shape[1]:
             raise ValueError("outcome history must have full column rank")
@@ -183,30 +185,22 @@ def kl_capital_identity(problem: PhiProblem, sol: PhiSolution, dist: RiskNeutral
 def appendix_yn(outcomes, with_tilde: bool = False):
     """Norms of y_n = (u_1 u_1' + ... + u_{n-1} u_{n-1}')^{-1} u_n.
 
-    The inverse is maintained by rank-one (Sherman-Morrison) updates, so
-    the whole sequence costs O(N d^2).  Requires ||u_n|| <= 1 and the
-    first d outcomes linearly independent.  With with_tilde=True also
-    returns u_n' y_n (the squared norm of the half-power analogue).
+    The matrices are the running moments of the outcomes after the first
+    d, started from those d, and every y_n comes from one batched solve.
+    Requires ||u_n|| <= 1 and the first d outcomes linearly independent.
+    With with_tilde=True also returns u_n' y_n (the squared norm of the
+    half-power analogue).
     """
-    U = np.atleast_2d(np.asarray(outcomes, dtype=float))
-    n, d = U.shape
+    U = as_path(outcomes)
+    d = U.shape[1]
     if np.any(np.linalg.norm(U, axis=1) > 1.0 + 1e-12):
         raise ValueError("outcomes must satisfy ||u_n|| <= 1")
-    head = U[:d]
+    head, tail = U[:d], U[d:]
     if np.linalg.matrix_rank(head) != d:
         raise ValueError("first d outcomes must be linearly independent")
-    A = head.T @ head
-    Ainv = np.linalg.inv(A)
-    norms = []
-    tilde = []
-    for i in range(d, n):
-        u = U[i]
-        y = Ainv @ u
-        norms.append(float(np.linalg.norm(y)))
-        tilde.append(float(u @ y))
-        # fold u_i into the running inverse
-        denom = 1.0 + float(u @ y)
-        Ainv = Ainv - np.outer(y, y) / denom
+    A = running_moments(tail, V0=head.T @ head)[1][:-1]
+    y = np.linalg.solve(A, tail[:, :, None])[:, :, 0]
+    norms = np.linalg.norm(y, axis=1)
     if with_tilde:
-        return np.array(norms), np.array(tilde)
-    return np.array(norms)
+        return norms, np.einsum("ni,ni->n", tail, y)
+    return norms

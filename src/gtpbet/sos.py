@@ -15,7 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import CapitalLedger, CollateralError, GameConfig, InvariantError, as_path
+from .domain import (
+    CapitalLedger,
+    CollateralError,
+    GameConfig,
+    InvariantError,
+    as_path,
+    running_moments,
+)
 from .optimizer import PhiProblem, solve_phi
 
 __all__ = [
@@ -38,7 +45,6 @@ class SosResult:
     outcomes: np.ndarray  # (N, d), without training
     alpha_star: np.ndarray  # (N, d), alpha*_n after each round
     delta_phi: np.ndarray  # (N,)
-    log_info: np.ndarray  # (N,) running log[I_n]
     phi00_alpha0: float  # training-only objective at its own optimum
     a_n: np.ndarray  # (N,) x_n' V_{0,n-1}^{-1} x_n (determinant recursion)
 
@@ -98,18 +104,17 @@ def sos_run(
     alpha_prev = sol0.alpha_star
     phi_prev = sol0.phi_value  # phi_{0,n-1}(alpha*_{n-1})
 
-    # running sums; V inverse tracked by rank-one updates
-    s0 = train.sum(axis=0)
-    V0 = train.T @ train
-    V0_inv = np.linalg.inv(V0)
-    sign, logdet_V0 = np.linalg.slogdet(V0)
+    # s_{0,n}, V_{0,n} for n = 0..N, and the determinant recursion
+    # |V_{0,n}| = |V_{0,n-1}| (1 + a_n) with a_n = x_n' V_{0,n-1}^{-1} x_n
+    s, V = running_moments(path, train.sum(axis=0), train.T @ train)
+    sign, logdet_0 = np.linalg.slogdet(V[0])
     if not sign > 0.0:
         raise InvariantError("training second-moment matrix is not positive definite")
+    a_seq = np.einsum("ni,ni->n", path, np.linalg.solve(V[:-1], path[:, :, None])[:, :, 0])
+    logdet = logdet_0 + np.cumsum(np.log1p(a_seq))
 
     ledger = CapitalLedger(N)
     delta_phi = np.empty(N)
-    log_info = np.empty(N)
-    a_seq = np.empty(N)
     alphas = np.empty((N, d))
     log_info_sum = 0.0
     logK = 0.0
@@ -122,15 +127,6 @@ def sos_run(
         logK += math.log(growth)
         X[n0 + n - 1] = x
         Xn = X[: n0 + n]
-
-        # determinant recursion 1 + x' V^{-1} x = |V_{0,n}| / |V_{0,n-1}|
-        Vx = V0_inv @ x
-        a = float(x @ Vx)
-        a_seq[n - 1] = a
-        logdet_V0 += math.log1p(a)
-        V0_inv = V0_inv - np.outer(Vx, Vx) / (1.0 + a)
-        s0 = s0 + x
-        V0 = V0 + np.outer(x, x)
 
         try:
             sol = solve_phi(PhiProblem(Xn), warm_start=alpha_prev, tol=solver_tol)
@@ -152,7 +148,6 @@ def sos_run(
         xa = x / rn
         h = float(xa @ np.linalg.solve(sol.hessian, xa))
         log_info_sum += -math.log1p(-h)
-        log_info[n - 1] = log_info_sum
 
         m = n + n0
         hindsight = sol.phi_value
@@ -164,18 +159,18 @@ def sos_run(
         ledger.LD2[i] = 0.5 * log_info_sum
         ledger.LD3[i] = 1.5 * math.log(n)
         ledger.GR[i] = hindsight / m  # exact KL identity with the hindsight value
-        ledger.QR[i] = float(alpha_n @ s0) / (2.0 * m)
+        ledger.QR[i] = float(alpha_n @ s[n]) / (2.0 * m)
         ledger.DR[i] = log_info_sum / (2.0 * n)
 
         if n % check_every == 0:
             # independent check of the exact relation alpha* = V*^{-1} s
             r_all = 1.0 + Xn @ alpha_n
             Vstar = (Xn / r_all[:, None]).T @ Xn
-            resid = np.linalg.norm(alpha_n - np.linalg.solve(Vstar, s0))
+            resid = np.linalg.norm(alpha_n - np.linalg.solve(Vstar, s[n]))
             if not resid <= check_tol_28b:
                 raise InvariantError(f"exact-relation residual {resid:.3e} at round {n}")
-            sign, ld = np.linalg.slogdet(V0)
-            if not (sign > 0.0 and abs(ld - logdet_V0) <= 1e-8 * max(1.0, abs(ld))):
+            sign, ld = np.linalg.slogdet(V[n])
+            if not (sign > 0.0 and abs(ld - logdet[n - 1]) <= 1e-8 * max(1.0, abs(ld))):
                 raise InvariantError(f"determinant drift at round {n}")
 
         alpha_prev = alpha_n
@@ -187,14 +182,13 @@ def sos_run(
         outcomes=path,
         alpha_star=alphas,
         delta_phi=delta_phi,
-        log_info=log_info,
         phi00_alpha0=phi00_alpha0,
         a_n=a_seq,
     )
 
 
-def sos_capital_fast(path, training, alpha_box, checkpoints=None):
-    """Streaming capital of the first-order sequential strategy.
+def sos_capital_fast(path, training, alpha_box):
+    """Per-round log gains of the first-order sequential strategy.
 
     For high-frequency embeddings (hundreds of thousands of tiny
     outcomes) the exact per-round re-optimization is replaced by the
@@ -204,37 +198,26 @@ def sos_capital_fast(path, training, alpha_box, checkpoints=None):
     positive.  For outcomes of norm delta the rule agrees with the exact
     optimum to O(delta), and the capital to second order in that gap.
 
-    s and V before each round are prefix sums that do not depend on the
-    bets, so the whole run is a handful of array operations for every d.
+    s and V before each round are the training totals plus the running
+    moments of the path, which do not depend on the bets, so the whole
+    run is a handful of array operations for every d.
 
-    Returns (logK_final, logK_at_checkpoints).
+    Returns the log gains log(1 + alpha_n . x_n), one per round; their
+    sum is the final log capital and their cumulative sum its path.
     """
-    training = np.atleast_2d(np.asarray(training, dtype=float))
+    training = as_path(training)
     d = training.shape[1]
     path = as_path(path, d)
-    N = path.shape[0]
-    s = training.sum(axis=0) + _before_each_round(path)
-    V = (training[:, :, None] * training[:, None, :]).sum(axis=0) + _before_each_round(
-        path[:, :, None] * path[:, None, :]
-    )
+    s, V = running_moments(path)
+    s = training.sum(axis=0) + s[:-1]
+    V = training.T @ training + V[:-1]
     if d == 1:
         alpha = s / V[:, 0]
     else:
         alpha = np.linalg.solve(V, s[:, :, None])[:, :, 0]
     bound = np.broadcast_to(np.asarray(alpha_box, dtype=float), (d,))
     alpha = np.clip(alpha, -bound, bound)
-    gains = np.log1p((alpha * path).sum(axis=1))
-    if not checkpoints:
-        return float(np.sum(gains)), {}
-    cum = np.cumsum(gains)
-    cps = {n: float(cum[n - 1]) for n in checkpoints if 1 <= n <= N}
-    return float(cum[-1]) if N else 0.0, cps
-
-
-def _before_each_round(terms):
-    """Row n holds terms[0] + ... + terms[n - 1]; row 0 is zero."""
-    head = np.zeros((1,) + terms.shape[1:])
-    return np.concatenate([head, np.cumsum(terms, axis=0)[:-1]])[: len(terms)]
+    return np.log1p((alpha * path).sum(axis=1))
 
 
 def deficiency_constants(config: GameConfig):
@@ -291,7 +274,7 @@ def deficiency_bounds(result: SosResult):
     sign, logdet_V00 = np.linalg.slogdet(train.T @ train)
     logdet = logdet_V00 + np.cumsum(np.log1p(result.a_n))
     lemma1 = c2 * (logdet - logdet_V00)
-    tr_vn = np.cumsum(np.sum(result.outcomes**2, axis=1))
+    tr_vn = np.trace(running_moments(result.outcomes)[1][1:], axis1=1, axis2=2)
     lemma2 = d * c2 * np.maximum(0.0, np.log(np.maximum(tr_vn, 1e-300))) + c3
     if np.any(cum > lemma2 + 1e-9):
         k = int(np.argmax(cum - lemma2))
@@ -308,29 +291,19 @@ def deficiency_bounds(result: SosResult):
 
 def slln_ratio(outcomes):
     """||s_n|| / sqrt(max(1, tr V_n log tr V_n)) per round (no training)."""
-    X = np.atleast_2d(np.asarray(outcomes, dtype=float))
-    s = np.cumsum(X, axis=0)
-    tr = np.cumsum(np.sum(X**2, axis=1))
+    s, V = running_moments(outcomes)
+    tr = np.trace(V[1:], axis1=1, axis2=2)
     with np.errstate(invalid="ignore"):
         denom = np.sqrt(np.maximum(1.0, tr * np.log(np.maximum(tr, 1e-300))))
-    return np.linalg.norm(s, axis=1) / denom
+    return np.linalg.norm(s[1:], axis=1) / denom
 
 
 def slln2_ratio(outcomes):
     """s_n' V_n^{-1} s_n / log |V_n| per round; NaN where V_n is singular
     or the log determinant is non-positive (no training data involved)."""
-    X = np.atleast_2d(np.asarray(outcomes, dtype=float))
-    N, d = X.shape
-    if d == 1:
-        s = np.cumsum(X[:, 0])
-        v = np.cumsum(X[:, 0] ** 2)
-        out = np.full(N, np.nan)
-        ok = np.log(np.maximum(v, 1e-300)) > 0.0
-        out[ok] = s[ok] ** 2 / (v[ok] * np.log(v[ok]))
-        return out
-    s = np.cumsum(X, axis=0)
-    V = np.cumsum(np.einsum("ni,nj->nij", X, X), axis=0)
-    out = np.full(N, np.nan)
+    s, V = running_moments(outcomes)
+    s, V = s[1:], V[1:]
+    out = np.full(len(s), np.nan)
     sign, logdet = np.linalg.slogdet(V)
     ok = (sign > 0.0) & (logdet > 0.0)
     if np.any(ok):

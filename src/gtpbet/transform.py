@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Domain, GameConfig, make_training
+from .domain import Domain, GameConfig, as_prices, make_training
 
 __all__ = ["ReturnTransform", "transform_returns", "read_price_csv"]
 
@@ -38,22 +38,19 @@ class ReturnTransform:
 def transform_returns(prices, c: float):
     """Build (outcomes, GameConfig, ReturnTransform) from a price table.
 
-    prices is a (T, d) array of strictly positive prices; c in (0, 1)
+    prices is a (T, d) array of strictly positive, finite prices (a 1-D
+    array is one column); c in (0, 1)
     sets the forecast horizon F = floor(c T).  The outcomes are the
     centered transformed returns after the forecast block; the returned
     config carries the shifted-box domain and the centered corner
     training points.
     """
-    prices = np.atleast_2d(np.asarray(prices, dtype=float))
-    if prices.ndim == 2 and prices.shape[0] == 1:
-        prices = prices.T
+    prices = as_prices(prices)
     T, d = prices.shape
     if T < 3:
         raise ValueError("need at least three price rows")
     if not 0.0 < c < 1.0:
         raise ValueError("c must lie in (0, 1)")
-    if np.any(prices <= 0.0):
-        raise ValueError("prices must be strictly positive")
     returns = prices[1:] / prices[:-1] - 1.0  # (T-1, d)
     s_max = returns.max(axis=0)
     s_min = returns.min(axis=0)

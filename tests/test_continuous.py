@@ -366,3 +366,23 @@ def test_price_path_validation():
         PricePath(times=[0.0, 0.0, 1.0], values=np.ones((3, 1)))
     with pytest.raises(ValueError):
         PricePath(times=[0.0, 1.0], values=np.array([[1.0], [-1.0]]))
+
+
+def test_price_path_rows_must_match_times():
+    with pytest.raises(ValueError, match="5 price rows for 3 times"):
+        PricePath(times=[0.0, 1.0, 2.0], values=np.ones((5, 1)))
+    # a (1, T) table is one row of T items, not a column to transpose
+    with pytest.raises(ValueError, match="1 price rows for 3 times"):
+        PricePath(times=[0.0, 1.0, 2.0], values=np.ones((1, 3)))
+    flat = PricePath(times=[0.0, 1.0, 2.0], values=[1.0, 1.1, 1.2])
+    assert flat.values.shape == (3, 1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_price_path_rejects_non_finite_price(bad):
+    values = np.exp(0.1 * np.arange(6.0))
+    values[2] = bad
+    with pytest.raises(ValueError, match="non-finite price at row 2"):
+        PricePath(times=np.arange(6.0), values=values)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        PricePath(times=[0.0, np.nan, 2.0], values=np.ones(3))

@@ -4,8 +4,22 @@ import math
 import numpy as np
 import pytest
 
-from gtpbet import CapitalLedger, Domain, TrainingSet, make_training
-from gtpbet.domain import LEDGER_COLUMNS
+from gtpbet import (
+    CapitalLedger,
+    Domain,
+    PhiProblem,
+    TrainingSet,
+    UniversalPortfolioConfig,
+    appendix_yn,
+    as_path,
+    make_training,
+    select_dimension,
+    slln2_ratio,
+    slln_ratio,
+    sos_capital_fast,
+    universal_portfolio,
+)
+from gtpbet.domain import LEDGER_COLUMNS, running_moments
 
 
 def test_box_requires_origin_interior():
@@ -109,3 +123,59 @@ def test_ledger_csv_format(tmp_path):
     # 17 significant digits round-trip exactly
     assert float(fields[1]) == led.logK_true[0]
     assert float(fields[LEDGER_COLUMNS.index("GR")]) == 1.0 / 3.0
+
+
+def test_as_path_width_from_the_array():
+    np.testing.assert_array_equal(as_path([0.1, 0.2]), [[0.1], [0.2]])
+    assert as_path(np.zeros((4, 3))).shape == (4, 3)
+    assert as_path([0.1, 0.2], 2).shape == (1, 2)
+    with pytest.raises(ValueError, match="not"):
+        as_path(np.zeros((2, 2, 2)))
+    with pytest.raises(ValueError, match="not"):
+        as_path(np.zeros((4, 3)), 2)
+
+
+def test_running_moments_rows():
+    path = np.array([[1.0, 2.0], [3.0, -1.0]])
+    s, V = running_moments(path, [0.5, 0.0], np.eye(2))
+    np.testing.assert_array_equal(s, [[0.5, 0.0], [1.5, 2.0], [4.5, 1.0]])
+    np.testing.assert_array_equal(V[0], np.eye(2))
+    np.testing.assert_array_equal(V[2], np.eye(2) + path.T @ path)
+    s, V = running_moments(np.zeros((0, 3)))
+    assert s.shape == (1, 3) and V.shape == (1, 3, 3)
+    assert not s.any() and not V.any()
+
+
+def _select(path):
+    rep = select_dimension(path)
+    return np.concatenate([rep.kl_term, rep.penalty, rep.logK_true, [rep.selected]])
+
+
+# every entry point that takes an outcome path, as path -> array
+ENTRY_POINTS = {
+    "slln_ratio": slln_ratio,
+    "slln2_ratio": slln2_ratio,
+    "appendix_yn": appendix_yn,
+    "select_dimension": _select,
+    "universal_portfolio": lambda p: universal_portfolio(UniversalPortfolioConfig(M=10), p),
+    "PhiProblem": lambda p: PhiProblem(p).outcomes,
+    "TrainingSet": lambda p: TrainingSet(epsilon0=0.1, points=p, scheme="axis_2d").points,
+    "sos_capital_fast training": lambda p: sos_capital_fast(np.full(5, 0.01), p, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_entry_point_reads_flat_path_as_column(name):
+    fn = ENTRY_POINTS[name]
+    flat = np.array([0.5, -0.25, 0.75, -0.5, 0.25, 0.3])
+    got = fn(flat)
+    assert got.size > 1
+    np.testing.assert_array_equal(got, fn(flat[:, None]))
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_entry_point_rejects_non_finite(name, bad):
+    path = np.array([[0.5], [-0.25], [0.75], [bad], [0.25]])
+    with pytest.raises(ValueError, match="non-finite outcome at round 4"):
+        ENTRY_POINTS[name](path)

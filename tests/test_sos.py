@@ -171,7 +171,7 @@ def test_fast_rule_tracks_exact_run_on_small_outcomes():
     cfg = game_config_for_embedding(delta, 1)
     res = sos_run(cfg, path)
     c = delta / 0.9
-    fast, _ = sos_capital_fast(path, np.array([[c], [-c]]), 1.0 / c)
+    fast = np.sum(sos_capital_fast(path, np.array([[c], [-c]]), 1.0 / c))
     assert abs(fast - res.ledger.logK_true[-1]) < 0.05 * max(
         1.0, abs(res.ledger.logK_true[-1])
     )
@@ -181,10 +181,11 @@ def test_fast_rule_checkpoints_prefix_consistent():
     rng = np.random.default_rng(8)
     path = rng.uniform(-0.02, 0.02, size=(500, 3))
     train = 0.05 * np.concatenate([np.eye(3), -np.eye(3)])
-    full, cps = sos_capital_fast(path, train, 20.0, checkpoints=[200, 500])
-    part, _ = sos_capital_fast(path[:200], train, 20.0)
-    assert cps[200] == pytest.approx(part, abs=1e-12)
-    assert cps[500] == pytest.approx(full, abs=1e-12)
+    cps = np.cumsum(sos_capital_fast(path, train, 20.0))
+    full = np.sum(sos_capital_fast(path, train, 20.0))
+    part = np.sum(sos_capital_fast(path[:200], train, 20.0))
+    assert cps[199] == pytest.approx(part, abs=1e-12)
+    assert cps[499] == pytest.approx(full, abs=1e-12)
 
 
 def test_summary_fields(rademacher_run):
@@ -228,11 +229,10 @@ def test_fast_rule_matches_per_round_reference(d, drift):
     gains, alphas = reference_fast_rule(path, train, bound)
     if drift:  # the drifting path pushes the bets onto the box
         assert np.any(np.abs(alphas) == bound)
-    every = range(1, len(path) + 1)
-    total, _ = sos_capital_fast(path, train, bound)
-    last, cps = sos_capital_fast(path, train, bound, checkpoints=every)
+    total = np.sum(sos_capital_fast(path, train, bound))
+    got = np.cumsum(sos_capital_fast(path, train, bound))
+    last = got[-1]
     running = np.cumsum(gains)
-    got = np.array([cps[n] for n in every])
     if d == 1:
         # same arithmetic in the same order: bit-identical
         assert total == np.sum(gains)
@@ -254,7 +254,9 @@ def test_flat_path_in_one_dimensional_game():
         res.ledger.logK_true, sos_run(unit_box_game(0.1), col).ledger.logK_true
     )
     train = np.array([[2.0], [-2.0]])
-    assert sos_capital_fast(flat, train, 0.5) == sos_capital_fast(col, train, 0.5)
+    np.testing.assert_array_equal(
+        sos_capital_fast(flat, train, 0.5), sos_capital_fast(col, train, 0.5)
+    )
     assert constant_strategy_capital([0.3], flat) == constant_strategy_capital(
         [0.3], col
     )

@@ -80,3 +80,14 @@ def test_read_price_csv(tmp_path):
     empty.write_text("")
     with pytest.raises(ValueError):
         read_price_csv(empty)
+
+
+def test_non_finite_price_names_row():
+    prices = np.array([100.0, 101.0, np.nan, 102.0, 103.0])
+    with pytest.raises(ValueError, match="non-finite price at row 2"):
+        transform_returns(prices, 0.2)
+    with pytest.raises(ValueError, match="row 1"):
+        transform_returns(np.array([[100.0, 5.0], [101.0, 0.0], [99.0, 5.0]]), 0.2)
+    # a 2-D table keeps its shape: one row of three items is too short
+    with pytest.raises(ValueError, match="three price rows"):
+        transform_returns(np.array([[100.0, 101.0, 102.0]]), 0.2)
