@@ -87,7 +87,8 @@ def solve_phi(
     The iterates never leave the open feasible set: the first trial step
     is clipped so every residual 1 + alpha.x_n keeps at least 10% of its
     current value, and backtracking (shrink 0.5, slope 1e-4) does the
-    rest.  Terminates when the gradient norm drops to tol.
+    rest, except that a Newton decrement at phi's rounding floor takes the
+    full step.  Terminates when the gradient norm drops to tol.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -119,11 +120,17 @@ def solve_phi(
         if np.any(shrink):
             t = min(1.0, float(np.min(-0.9 * r[shrink] / dr[shrink])))
         slope = float(grad @ step)
+        # once the Newton decrement is at phi's rounding floor, Armijo would
+        # compare values that differ only by rounding; phi is self-concordant,
+        # so the full Newton step is the right one there
+        full = slope <= 1e-13 * max(1.0, abs(phi))
+        if full:
+            t = 1.0
         while t > 1e-18:
             r_new = r + t * dr
             if np.all(r_new > 0.0):
                 phi_new = float(np.sum(np.log(r_new)))
-                if phi_new >= phi + 1e-4 * t * slope:
+                if full or phi_new >= phi + 1e-4 * t * slope:
                     break
             t *= 0.5
         else:
