@@ -78,7 +78,6 @@ __all__ = [
     "UniversalPortfolioConfig",
     "appendix_yn",
     "as_path",
-    "running_moments",
     "constant_strategy_capital",
     "deficiency_bounds",
     "deficiency_constants",
@@ -92,6 +91,7 @@ __all__ = [
     "make_training",
     "read_price_csv",
     "risk_neutral",
+    "running_moments",
     "select_dimension",
     "slln2_ratio",
     "slln_ratio",

@@ -196,10 +196,17 @@ def as_path(x, d: int | None = None) -> np.ndarray:
         path = path[:, None] if d in (None, 1) else path[None, :]
     if path.ndim != 2 or d is not None and path.shape[1] != d:
         raise ValueError(f"outcome path of shape {np.shape(x)} is not (N, {d or 'd'})")
-    bad = np.flatnonzero(~np.isfinite(path).all(axis=1))
-    if bad.size:
-        raise ValueError(f"non-finite outcome at round {bad[0] + 1}")
+    ok = np.isfinite(path)
+    if not ok.all():
+        raise ValueError(f"non-finite outcome at round {_first_bad_row(ok) + 1}")
     return path
+
+
+def _first_bad_row(ok) -> int:
+    """Index of the first row of a boolean table that is not all True.
+    Only called once a whole-table test has failed, because the per-row
+    reduction is many times slower than that test."""
+    return int(np.flatnonzero(~ok.all(axis=1))[0])
 
 
 def as_prices(x) -> np.ndarray:
@@ -214,12 +221,12 @@ def as_prices(x) -> np.ndarray:
         prices = prices[:, None]
     if prices.ndim != 2:
         raise ValueError(f"price table of shape {np.shape(x)} is not (T, d)")
-    bad = np.flatnonzero(~np.isfinite(prices).all(axis=1))
-    if bad.size:
-        raise ValueError(f"non-finite price at row {bad[0]}")
-    bad = np.flatnonzero((prices <= 0.0).any(axis=1))
-    if bad.size:
-        raise ValueError(f"prices must be strictly positive (row {bad[0]})")
+    ok = np.isfinite(prices)
+    if not ok.all():
+        raise ValueError(f"non-finite price at row {_first_bad_row(ok)}")
+    np.greater(prices, 0.0, out=ok)
+    if not ok.all():
+        raise ValueError(f"prices must be strictly positive (row {_first_bad_row(ok)})")
     return prices
 
 

@@ -19,7 +19,7 @@ from gtpbet import (
     sos_capital_fast,
     universal_portfolio,
 )
-from gtpbet.domain import LEDGER_COLUMNS, running_moments
+from gtpbet.domain import LEDGER_COLUMNS
 
 
 def test_box_requires_origin_interior():
@@ -133,17 +133,6 @@ def test_as_path_width_from_the_array():
         as_path(np.zeros((2, 2, 2)))
     with pytest.raises(ValueError, match="not"):
         as_path(np.zeros((4, 3)), 2)
-
-
-def test_running_moments_rows():
-    path = np.array([[1.0, 2.0], [3.0, -1.0]])
-    s, V = running_moments(path, [0.5, 0.0], np.eye(2))
-    np.testing.assert_array_equal(s, [[0.5, 0.0], [1.5, 2.0], [4.5, 1.0]])
-    np.testing.assert_array_equal(V[0], np.eye(2))
-    np.testing.assert_array_equal(V[2], np.eye(2) + path.T @ path)
-    s, V = running_moments(np.zeros((0, 3)))
-    assert s.shape == (1, 3) and V.shape == (1, 3, 3)
-    assert not s.any() and not V.any()
 
 
 def _select(path):
