@@ -91,14 +91,16 @@ class Domain:
 
     def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.d,):
-            return False
+        return x.shape == (self.d,) and bool(self.contains_rows(x[None])[0])
+
+    def contains_rows(self, path) -> np.ndarray:
+        """Membership of every row of an (N, d) array, as N booleans."""
         if self.kind == "box":
-            return bool(
-                np.all(x >= self.lo - _BOUNDARY_SLACK)
-                and np.all(x <= self.hi + _BOUNDARY_SLACK)
+            return np.all(
+                (path >= self.lo - _BOUNDARY_SLACK) & (path <= self.hi + _BOUNDARY_SLACK),
+                axis=1,
             )
-        return float(np.linalg.norm(x)) <= self.radius + _BOUNDARY_SLACK
+        return np.linalg.norm(path, axis=1) <= self.radius + _BOUNDARY_SLACK
 
     def max_growth_constant(self) -> float:
         """Largest one-round growth factor 1 + alpha.x over prudent alpha.

@@ -10,7 +10,6 @@ divergence between the empirical distribution and that reweighting.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,12 +29,14 @@ __all__ = [
 
 
 class SolverError(RuntimeError):
-    """Iteration cap exceeded; carries the best iterate found."""
+    """Iteration cap exceeded or line search failed; carries the best
+    iterate found and, in a batched solve, the index of its row."""
 
-    def __init__(self, msg, alpha, grad_norm):
+    def __init__(self, msg, alpha, grad_norm, row=0):
         super().__init__(msg)
         self.alpha = alpha
         self.grad_norm = grad_norm
+        self.row = row
 
 
 @dataclass(frozen=True)
@@ -68,14 +69,6 @@ class PhiSolution:
     iterations: int
 
 
-def _phi_terms(X, alpha):
-    """Returns r = 1 + X @ alpha, or None if alpha is infeasible."""
-    r = 1.0 + X @ alpha
-    if np.any(r <= 0.0):
-        return None
-    return r
-
-
 def solve_phi(
     problem: PhiProblem,
     warm_start=None,
@@ -88,68 +81,116 @@ def solve_phi(
     is clipped so every residual 1 + alpha.x_n keeps at least 10% of its
     current value, and backtracking (shrink 0.5, slope 1e-4) does the
     rest, except that a Newton decrement at phi's rounding floor takes the
-    full step.  Terminates when the gradient norm drops to tol.
+    full step.  Terminates when the gradient norm drops to tol.  This is
+    the one-history case of the batched solve behind the exact run.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     X = problem.outcomes
-    d = problem.d
-    alpha = np.zeros(d) if warm_start is None else np.array(warm_start, dtype=float)
-    r = _phi_terms(X, alpha)
-    if r is None:  # infeasible warm start; origin is always feasible
-        alpha = np.zeros(d)
-        r = 1.0 + X @ alpha
-    phi = float(np.sum(np.log(r)))
-    grad = X.T @ (1.0 / r)
-    gnorm = float(np.linalg.norm(grad))
-    it = 0
-    while gnorm > tol:
-        if it >= max_iter:
+    start = np.zeros(problem.d) if warm_start is None else np.asarray(warm_start, dtype=float)
+    alpha, phi, gnorm, hess, its = _newton_rows(
+        X, _outer_rows(X), np.array([problem.m]), start, tol, max_iter
+    )
+    return PhiSolution(
+        alpha_star=alpha[0],
+        phi_value=float(phi[0]),
+        gradient_norm=float(gnorm[0]),
+        hessian=hess[0],
+        iterations=int(its[0]),
+    )
+
+
+def _outer_rows(X) -> np.ndarray:
+    """vec(x x') for every row x of X, as an (m, d*d) array, so that a
+    weighted sum of the outer products is one matrix product."""
+    m, d = X.shape
+    return (X[:, :, None] * X[:, None, :]).reshape(m, d * d)
+
+
+def _mask_beyond(M, ends, fill):
+    """Sets M[b, j] = fill for every column j >= ends[b], in place; only
+    the columns from min(ends) on are touched."""
+    lo = int(ends.min())
+    tail = M[:, lo:]
+    tail[np.arange(lo, M.shape[1]) >= ends[:, None]] = fill
+    return M
+
+
+def _newton_rows(X, P, ends, start, tol, max_iter):
+    """solve_phi's damped Newton, run on B histories at once.
+
+    Row b maximises phi over X[:ends[b]]; P is _outer_rows(X).  Every row
+    starts from start, or from the origin where start is infeasible for
+    it, and follows solve_phi's rules on its own: the 0.9
+    fraction-to-boundary step, Armijo backtracking, the full step at
+    phi's rounding floor, and no further step once its gradient norm is
+    at most tol.  The products are taken over the whole block, so a
+    row's arithmetic does not depend on the other rows.  Raises
+    SolverError for the first row that fails.  Returns alpha (B, d),
+    phi (B,), gradient norms (B,), Hessians (B, d, d) and iteration
+    counts (B,).
+    """
+    B, d = len(ends), X.shape[1]
+    alpha = np.tile(start, (B, 1))
+    R = _mask_beyond(1.0 + alpha @ X.T, ends, 1.0)
+    bad = np.any(R <= 0.0, axis=1)
+    if np.any(bad):  # infeasible warm start; the origin is always feasible
+        alpha[bad] = 0.0
+        R[bad] = 1.0
+    phi = np.sum(np.log(R), axis=1)
+    W = _mask_beyond(1.0 / R, ends, 0.0)
+    grad = W @ X
+    gnorm = np.linalg.norm(grad, axis=1)
+    its = np.zeros(B, dtype=int)
+    for it in range(max_iter + 1):
+        active = gnorm > tol
+        if not np.any(active):
+            break
+        if it == max_iter:
+            i = int(np.argmax(active))
             raise SolverError(
-                f"no convergence in {max_iter} iterations (|grad| = {gnorm:.3e})",
-                alpha,
-                gnorm,
+                f"no convergence in {max_iter} iterations (|grad| = {gnorm[i]:.3e})",
+                alpha[i],
+                gnorm[i],
+                i,
             )
-        w = 1.0 / r
-        hess = (X * (w * w)[:, None]).T @ X
-        step = np.linalg.solve(hess, grad)
-        dr = X @ step
-        # keep every residual >= 0.1 of its current value
-        shrink = dr < 0.0
-        t = 1.0
-        if np.any(shrink):
-            t = min(1.0, float(np.min(-0.9 * r[shrink] / dr[shrink])))
-        slope = float(grad @ step)
+        hess = ((W * W) @ P).reshape(B, d, d)
+        step = np.linalg.solve(hess, grad[:, :, None])[:, :, 0]
+        dR = _mask_beyond(step @ X.T, ends, 0.0)
+        # keep every residual >= 0.1 of its current value: t <= -0.9 r / dr
+        # wherever dr < 0, and t <= 1
+        t = -0.9 / np.minimum((dR / R).min(axis=1), -0.9)
+        slope = np.sum(grad * step, axis=1)
         # once the Newton decrement is at phi's rounding floor, Armijo would
         # compare values that differ only by rounding; phi is self-concordant,
         # so the full Newton step is the right one there
-        full = slope <= 1e-13 * max(1.0, abs(phi))
-        if full:
-            t = 1.0
-        while t > 1e-18:
-            r_new = r + t * dr
-            if np.all(r_new > 0.0):
-                phi_new = float(np.sum(np.log(r_new)))
-                if full or phi_new >= phi + 1e-4 * t * slope:
-                    break
-            t *= 0.5
-        else:
-            raise SolverError("line search failed", alpha, gnorm)
-        alpha = alpha + t * step
-        r = r_new
-        phi = phi_new
-        grad = X.T @ (1.0 / r)
-        gnorm = float(np.linalg.norm(grad))
-        it += 1
-    w = 1.0 / r
-    hess = (X * (w * w)[:, None]).T @ X
-    return PhiSolution(
-        alpha_star=alpha,
-        phi_value=phi,
-        gradient_norm=gnorm,
-        hessian=hess,
-        iterations=it,
-    )
+        full = slope <= 1e-13 * np.maximum(1.0, np.abs(phi))
+        t[full] = 1.0
+        rows = np.flatnonzero(active)
+        while rows.size:
+            R_new = R[rows] + t[rows, None] * dR[rows]
+            with np.errstate(invalid="ignore", divide="ignore"):
+                phi_new = np.sum(np.log(R_new), axis=1)
+            ok = np.all(R_new > 0.0, axis=1) & (
+                full[rows] | (phi_new >= phi[rows] + 1e-4 * t[rows] * slope[rows])
+            )
+            took = rows[ok]
+            alpha[took] = alpha[took] + t[took, None] * step[took]
+            R[took] = R_new[ok]
+            phi[took] = phi_new[ok]
+            rows = rows[~ok]
+            t[rows] *= 0.5
+            failed = rows[t[rows] <= 1e-18]
+            if failed.size:
+                i = int(failed[0])
+                raise SolverError("line search failed", alpha[i], gnorm[i], i)
+        np.divide(1.0, R, out=W)
+        _mask_beyond(W, ends, 0.0)
+        grad = W @ X
+        gnorm = np.linalg.norm(grad, axis=1)
+        its[active] += 1
+    hess = ((W * W) @ P).reshape(B, d, d)
+    return alpha, phi, gnorm, hess, its
 
 
 @dataclass(frozen=True)

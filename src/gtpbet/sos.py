@@ -10,7 +10,6 @@ deficiency and rate diagnostics.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,14 @@ from .domain import (
     as_path,
     running_moments,
 )
-from .optimizer import PhiProblem, solve_phi
+from .optimizer import (
+    PhiProblem,
+    SolverError,
+    _mask_beyond,
+    _newton_rows,
+    _outer_rows,
+    solve_phi,
+)
 
 __all__ = [
     "SosResult",
@@ -70,6 +76,12 @@ class SosResult:
         return out
 
 
+# Rounds per batched Newton solve.  Measured on a 2-core host: 16 is the
+# fastest of 8..128; at 128 OpenBLAS threads the block products, which
+# doubles the CPU time without saving wall time.
+_BLOCK = 16
+
+
 def sos_run(
     config: GameConfig,
     path,
@@ -80,29 +92,72 @@ def sos_run(
 ) -> SosResult:
     """Run the sequential optimizing strategy over a finite outcome path.
 
-    Every check_every rounds the exact-relation identity
+    alpha*_n maximises phi over the training points and x_1..x_n only, so
+    the rounds are independent problems: they are solved _BLOCK at a
+    time by one batched Newton, each block starting from the previous
+    block's last optimum, and every ledger column is then a whole-array
+    expression.  Every check_every rounds the exact-relation identity
     alpha* = V*^{-1} s (with V* the reweighted second-moment matrix) and
     the determinant bookkeeping are verified from scratch; violations
-    raise InvariantError.  Solver failures propagate with the round index.
-    An empty path, a non-finite outcome or one outside the domain raises
-    ValueError naming the round.
+    raise InvariantError.  A solver failure raises SolverError naming the
+    round.  An empty path, a non-finite outcome or one outside the domain
+    raises ValueError naming the round.
     """
     path = as_path(path, config.domain.d)
     N, d = path.shape
     if N == 0:
         raise ValueError("empty outcome path")
+    if check_every < 1:
+        raise ValueError("check_every must be a positive number of rounds")
+    bad = np.flatnonzero(~config.domain.contains_rows(path))
+    if bad.size:
+        raise ValueError(f"outcome at round {bad[0] + 1} lies outside the domain")
     train = config.training.points
     n0 = train.shape[0]
-    for i in range(N):
-        if not config.domain.contains(path[i]):
-            raise ValueError(f"outcome at round {i + 1} lies outside the domain")
-
-    X = np.empty((n0 + N, d))
-    X[:n0] = train
     sol0 = solve_phi(PhiProblem(train), tol=solver_tol)
     phi00_alpha0 = sol0.phi_value
-    alpha_prev = sol0.alpha_star
-    phi_prev = sol0.phi_value  # phi_{0,n-1}(alpha*_{n-1})
+
+    # the history, padded with zero outcomes to whole blocks: a zero outcome
+    # adds exact zeros to every sum, so each block has the same shape, and
+    # gives the same bits, in a run over a prefix of the path
+    nb = -(-N // _BLOCK)
+    X = np.zeros((n0 + nb * _BLOCK, d))
+    X[:n0] = train
+    X[n0 : n0 + N] = path
+    P = _outer_rows(X)
+    blocks = []
+    start = sol0.alpha_star
+    for hi in range(n0 + _BLOCK, X.shape[0] + 1, _BLOCK):
+        ends = np.arange(hi - _BLOCK + 1, hi + 1)
+        try:
+            blocks.append(_newton_rows(X[:hi], P[:hi], ends, start, solver_tol, 200))
+        except SolverError as exc:
+            n = ends[exc.row] - n0
+            msg = f"solver failed at round {n}: {exc}"
+            raise SolverError(msg, exc.alpha, exc.grad_norm) from exc
+        start = blocks[-1][0][-1]
+    alphas, phis, _, hess, _ = (np.concatenate(col)[:N] for col in zip(*blocks))
+
+    # the bet of round n is alpha*_{n-1}
+    bets = np.vstack([sol0.alpha_star, alphas[:-1]])
+    growth = 1.0 + np.einsum("ni,ni->n", bets, path)
+    bad = np.flatnonzero(~(growth > 0.0))
+    if bad.size:
+        raise CollateralError(f"collateral violated at round {bad[0] + 1}")
+    log_growth = np.log(growth)
+    logK = np.cumsum(log_growth)
+    # phi_{0,n}(alpha*_{n-1}) = phi_{0,n-1}(alpha*_{n-1}) + log growth_n
+    delta_phi = phis - (np.concatenate([[phi00_alpha0], phis[:-1]]) + log_growth)
+    bad = np.flatnonzero(~(delta_phi >= -1e-12))
+    if bad.size:
+        raise InvariantError(f"delta-phi negative at round {bad[0] + 1}: {delta_phi[bad[0]]}")
+
+    # penalty accumulation: the round term is
+    # log|I_n(a*_n)| - log|I_{n-1}(a*_n)| = -log(1 - h) with
+    # h = x_n(a*_n)' I_n(a*_n)^{-1} x_n(a*_n) (rank-one downdate)
+    xa = path / (1.0 + np.einsum("ni,ni->n", alphas, path))[:, None]
+    h = np.einsum("ni,ni->n", xa, np.linalg.solve(hess, xa[:, :, None])[:, :, 0])
+    log_info_sum = np.cumsum(-np.log1p(-h))
 
     # s_{0,n}, V_{0,n} for n = 0..N, and the determinant recursion
     # |V_{0,n}| = |V_{0,n-1}| (1 + a_n) with a_n = x_n' V_{0,n-1}^{-1} x_n
@@ -113,68 +168,38 @@ def sos_run(
     a_seq = np.einsum("ni,ni->n", path, np.linalg.solve(V[:-1], path[:, :, None])[:, :, 0])
     logdet = logdet_0 + np.cumsum(np.log1p(a_seq))
 
+    # independent check of the exact relation alpha* = V*^{-1} s, with the
+    # residuals recomputed from the history, and of the determinants
+    checked = np.arange(check_every, N + 1, check_every)
+    for c in range(0, checked.size, _BLOCK):
+        n = checked[c : c + _BLOCK]
+        a = alphas[n - 1]
+        m = n0 + n[-1]
+        W = 1.0 / _mask_beyond(1.0 + a @ X[:m].T, n0 + n, np.inf)
+        Vstar = (W @ P[:m]).reshape(-1, d, d)
+        resid = np.linalg.norm(a - np.linalg.solve(Vstar, s[n][:, :, None])[:, :, 0], axis=1)
+        bad = np.flatnonzero(~(resid <= check_tol_28b))
+        if bad.size:
+            i = bad[0]
+            raise InvariantError(f"exact-relation residual {resid[i]:.3e} at round {n[i]}")
+    sign, ld = np.linalg.slogdet(V[checked])
+    drift = np.abs(ld - logdet[checked - 1])
+    bad = np.flatnonzero(~((sign > 0.0) & (drift <= 1e-8 * np.maximum(1.0, np.abs(ld)))))
+    if bad.size:
+        raise InvariantError(f"determinant drift at round {checked[bad[0]]}")
+
+    n = np.arange(1, N + 1)
+    m = n + n0
     ledger = CapitalLedger(N)
-    delta_phi = np.empty(N)
-    alphas = np.empty((N, d))
-    log_info_sum = 0.0
-    logK = 0.0
-
-    for n in range(1, N + 1):
-        x = path[n - 1]
-        growth = 1.0 + float(alpha_prev @ x)
-        if growth <= 0.0:
-            raise CollateralError(f"collateral violated at round {n}")
-        logK += math.log(growth)
-        X[n0 + n - 1] = x
-        Xn = X[: n0 + n]
-
-        try:
-            sol = solve_phi(PhiProblem(Xn), warm_start=alpha_prev, tol=solver_tol)
-        except Exception as exc:
-            raise RuntimeError(f"solver failed at round {n}") from exc
-        alpha_n = sol.alpha_star
-        alphas[n - 1] = alpha_n
-
-        phi_at_prev = phi_prev + math.log(growth)  # phi_{0,n}(alpha*_{n-1})
-        dphi = sol.phi_value - phi_at_prev
-        if not dphi >= -1e-12:
-            raise InvariantError(f"delta-phi negative at round {n}: {dphi}")
-        delta_phi[n - 1] = dphi
-
-        # penalty accumulation: the round term is
-        # log|I_n(a*_n)| - log|I_{n-1}(a*_n)| = -log(1 - h) with
-        # h = x_n(a*_n)' I_n(a*_n)^{-1} x_n(a*_n) (rank-one downdate)
-        rn = 1.0 + float(alpha_n @ x)
-        xa = x / rn
-        h = float(xa @ np.linalg.solve(sol.hessian, xa))
-        log_info_sum += -math.log1p(-h)
-
-        m = n + n0
-        hindsight = sol.phi_value
-        i = n - 1
-        ledger.logK_true[i] = logK
-        ledger.logK_hindsight[i] = hindsight
-        ledger.logK_approx[i] = hindsight - 0.5 * log_info_sum
-        ledger.LD1[i] = hindsight - logK - phi00_alpha0
-        ledger.LD2[i] = 0.5 * log_info_sum
-        ledger.LD3[i] = 1.5 * math.log(n)
-        ledger.GR[i] = hindsight / m  # exact KL identity with the hindsight value
-        ledger.QR[i] = float(alpha_n @ s[n]) / (2.0 * m)
-        ledger.DR[i] = log_info_sum / (2.0 * n)
-
-        if n % check_every == 0:
-            # independent check of the exact relation alpha* = V*^{-1} s
-            r_all = 1.0 + Xn @ alpha_n
-            Vstar = (Xn / r_all[:, None]).T @ Xn
-            resid = np.linalg.norm(alpha_n - np.linalg.solve(Vstar, s[n]))
-            if not resid <= check_tol_28b:
-                raise InvariantError(f"exact-relation residual {resid:.3e} at round {n}")
-            sign, ld = np.linalg.slogdet(V[n])
-            if not (sign > 0.0 and abs(ld - logdet[n - 1]) <= 1e-8 * max(1.0, abs(ld))):
-                raise InvariantError(f"determinant drift at round {n}")
-
-        alpha_prev = alpha_n
-        phi_prev = sol.phi_value
+    ledger.logK_true[:] = logK
+    ledger.logK_hindsight[:] = phis
+    ledger.logK_approx[:] = phis - 0.5 * log_info_sum
+    ledger.LD1[:] = phis - logK - phi00_alpha0
+    ledger.LD2[:] = 0.5 * log_info_sum
+    ledger.LD3[:] = 1.5 * np.log(n)
+    ledger.GR[:] = phis / m  # exact KL identity with the hindsight value
+    ledger.QR[:] = np.einsum("ni,ni->n", alphas, s[1:]) / (2.0 * m)
+    ledger.DR[:] = log_info_sum / (2.0 * n)
 
     return SosResult(
         ledger=ledger,

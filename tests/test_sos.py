@@ -9,15 +9,23 @@ import pytest
 
 import gtpbet
 from gtpbet import (
+    Domain,
+    GameConfig,
+    PhiProblem,
+    SolverError,
     constant_strategy_capital,
     deficiency_bounds,
     deficiency_constants,
+    make_training,
     slln2_ratio,
     slln_ratio,
     sos_capital_fast,
+    solve_phi,
     sos_run,
 )
-from conftest import unit_box_game
+from gtpbet.domain import LEDGER_COLUMNS
+from gtpbet.sos import _BLOCK
+from conftest import corner_game, unit_box_game
 
 
 def test_all_zero_path():
@@ -278,6 +286,14 @@ def test_empty_path_rejected():
         sos_run(unit_box_game(0.1), np.zeros((0, 1)))
 
 
+@pytest.mark.parametrize("every", [0, -4])
+def test_check_interval_must_be_positive(every):
+    # a non-positive interval would leave the exact-relation and
+    # determinant checks silently unrun
+    with pytest.raises(ValueError, match="check_every"):
+        sos_run(unit_box_game(0.1), np.full((8, 1), 0.2), check_every=every)
+
+
 def test_invariant_checks_survive_optimize_flag():
     # a negative tolerance fails the exact-relation check at round 1; the
     # check must raise even with asserts stripped by python -O
@@ -299,3 +315,112 @@ def test_invariant_checks_survive_optimize_flag():
     )
     assert proc.returncode == 0, proc.stderr
     assert "InvariantError: exact-relation residual" in proc.stdout
+
+
+def reference_sos_run(config, path):
+    """The exact run played one round at a time: solve_phi on the history
+    through round n, warm-started from round n-1's optimum, and the ledger
+    columns accumulated round by round.  Returns (columns, alphas)."""
+    train = config.training.points
+    n0 = train.shape[0]
+    sol = solve_phi(PhiProblem(train))
+    phi00 = sol.phi_value
+    cols = {c: [] for c in LEDGER_COLUMNS[1:]}
+    alphas = []
+    logk = log_info = 0.0
+    s = train.sum(axis=0)
+    for n, x in enumerate(path, start=1):
+        growth = 1.0 + float(sol.alpha_star @ x)
+        logk += math.log(growth)
+        sol = solve_phi(
+            PhiProblem(np.concatenate([train, path[:n]])), warm_start=sol.alpha_star
+        )
+        alpha = sol.alpha_star
+        xa = x / (1.0 + float(alpha @ x))
+        log_info += -math.log1p(-float(xa @ np.linalg.solve(sol.hessian, xa)))
+        s = s + x
+        m = n + n0
+        hindsight = sol.phi_value
+        for name, value in (
+            ("logK_true", logk),
+            ("logK_hindsight", hindsight),
+            ("logK_approx", hindsight - 0.5 * log_info),
+            ("LD1", hindsight - logk - phi00),
+            ("LD2", 0.5 * log_info),
+            ("LD3", 1.5 * math.log(n)),
+            ("GR", hindsight / m),
+            ("QR", float(alpha @ s) / (2.0 * m)),
+            ("DR", log_info / (2.0 * n)),
+        ):
+            cols[name].append(value)
+        alphas.append(alpha)
+    return {k: np.array(v) for k, v in cols.items()}, np.array(alphas)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("N", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+def test_batched_run_matches_per_round_reference(d, N):
+    rng = np.random.default_rng(100 * d + N)
+    path = np.clip(rng.uniform(-0.8, 0.8, size=(N, d)) + 0.1, -1.0, 1.0)
+    game = corner_game(d)
+    res = sos_run(game, path)
+    cols, alphas = reference_sos_run(game, path)
+    for name, want in cols.items():
+        got = getattr(res.ledger, name)
+        assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want))), name
+    np.testing.assert_allclose(res.alpha_star, alphas, rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_exact_run_prefix_consistent_across_blocks(d):
+    rng = np.random.default_rng(60 + d)
+    path = rng.uniform(-0.9, 0.9, size=(3 * _BLOCK + 5, d))
+    full = sos_run(corner_game(d), path)
+    for k in (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK):
+        part = sos_run(corner_game(d), path[:k])
+        for col in LEDGER_COLUMNS[1:]:
+            np.testing.assert_array_equal(
+                getattr(part.ledger, col), getattr(full.ledger, col)[:k]
+            )
+        np.testing.assert_array_equal(part.alpha_star, full.alpha_star[:k])
+        np.testing.assert_array_equal(part.delta_phi, full.delta_phi[:k])
+
+
+def test_solver_failure_keeps_its_type_and_names_the_round():
+    # no gradient norm reaches 1e-300 but one that rounds to exactly 0, which
+    # at d = 1 happens often enough that some rounds converge; at d = 3 both
+    # rounds here fail
+    path = np.array([[0.3, 0.1, -0.2], [0.1, -0.4, 0.6]])
+    with pytest.raises(SolverError, match="solver failed at round [12]: no convergence") as info:
+        sos_run(corner_game(3), path, solver_tol=1e-300)
+    assert isinstance(info.value, RuntimeError)
+    assert info.value.alpha.shape == (3,)
+    assert info.value.grad_norm > 1e-300
+
+
+def test_outside_sphere_domain_names_the_round():
+    dom = Domain.sphere(2, 1.0)
+    game = GameConfig(domain=dom, training=make_training(dom, 0.1))
+    path = np.array([[0.5, 0.5], [0.6, -0.6], [0.8, 0.8], [2.0, 0.0]])
+    with pytest.raises(ValueError, match="outcome at round 3 lies outside"):
+        sos_run(game, path)
+    assert sos_run(game, path[:2]).N == 2
+
+
+def test_outcome_on_the_slack_boundary_accepted():
+    # the membership test allows a slack of 1e-12 beyond the domain; a
+    # point exactly there is in, the next float beyond it is out
+    edge = 1.0 + 1e-12
+    beyond = np.nextafter(edge, 2.0)
+    box = unit_box_game(0.1)
+    dom = Domain.sphere(2, 1.0)
+    ball = GameConfig(domain=dom, training=make_training(dom, 0.1))
+    for game, at, out in (
+        (box, [edge], [beyond]),
+        (box, [-edge], [-beyond]),
+        (ball, [0.0, edge], [0.0, beyond]),
+    ):
+        assert game.domain.contains(at) and not game.domain.contains(out)
+        assert sos_run(game, [[0.1] * len(at), at]).N == 2
+        with pytest.raises(ValueError, match="outcome at round 2 lies outside"):
+            sos_run(game, [[0.1] * len(at), out])
