@@ -204,6 +204,23 @@ SCENARIOS = {
 }
 
 
+def _finite_or_null(obj):
+    """obj with every non-finite float replaced by None, which JSON writes
+    as null: NaN and Infinity are not JSON, and strict parsers reject them
+    (a holder radius with no stop leaves its H estimate NaN)."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
+
+
+def _summary_json(summary: dict) -> str:
+    return json.dumps(_finite_or_null(summary), indent=2, allow_nan=False)
+
+
 def run_scenario(cfg: dict, outdir: Path) -> dict:
     scenario = cfg.get("scenario")
     if scenario not in SCENARIOS:
@@ -211,16 +228,14 @@ def run_scenario(cfg: dict, outdir: Path) -> dict:
     outdir.mkdir(parents=True, exist_ok=True)
     summary = SCENARIOS[scenario](cfg, _seed(cfg), outdir)
     with open(outdir / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+        fh.write(_summary_json(summary) + "\n")
     return summary
 
 
 def _cmd_run(args) -> int:
     cfg = parse_config(args.config)
     outdir = Path(args.outdir) if args.outdir else Path(args.config).parent / "out"
-    summary = run_scenario(cfg, outdir)
-    print(json.dumps(summary, indent=2, default=str))
+    print(_summary_json(run_scenario(cfg, outdir)))
     return 0
 
 

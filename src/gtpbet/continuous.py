@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .domain import Domain, GameConfig, InvariantError, as_prices, make_training
 from .sos import sos_capital_fast
@@ -90,46 +91,185 @@ class Embedding:
     N: int
 
 
-_MAX_BLOCK = 1 << 16
+# The crossing scan runs chains of the greedy scan in lockstep; see
+# _scan_crossings.  These constants shape it and no caller sets them.
+_MAX_BLOCK = 1 << 16  # longest window a chain reads in one step
+_PILOT = 16  # stops the first chain finds alone, to measure the gap
+_SEGMENT = 256  # stops per segment that the chain count aims at
+_MAX_CHAINS = 1024
+_HEAD = 512  # steps of each chain that a predecessor may merge into
+_CHECK = 4  # steps between merge checks
+_MERGED, _RETIRED = 1, 2
 
 
 def _scan_crossings(S, d2):
-    """Greedy first-crossing scan; returns the stop indices.
+    """Greedy first-crossing scan; returns the stop indices and the count
+    of stops computed but discarded.
 
-    From each stop i the path is searched forward, one block at a time,
-    for the first j with sum((S_j/S_i - 1)**2) >= d2.  The first block
-    is a few times a running mean of the gaps between stops, so most stops
-    cost one block; a miss doubles the block up to a cache-sized cap.
-    A one-dimensional path is searched as its contiguous column.
+    The stop after a stop i is the first j > i with
+    sum((S_j/S_i - 1)**2) >= d2, summed over the columns left to right.
+    It depends on i alone, so two scans that share a stop share every stop
+    after it.  The scan runs as chains in lockstep.  A first chain scans
+    alone from index 0 for a few stops to measure the mean gap between
+    stops.  The rest of the path is then cut into segments of about
+    _SEGMENT stops, and a chain starts at the first index of each, as if
+    that index were a stop.  Each step moves every active chain on by one
+    window of about one gap, read from a strided view of the path, with
+    one set of (chains x window) array operations; a window holds at most
+    one new stop.  When no chain finds a stop, the window doubles, up to
+    _MAX_BLOCK.  A chain whose anchor is a stop that its successor held in
+    its first _HEAD steps merges into it: the chain stops, and its scan
+    goes on as the successor's.  A chain that passes the last of those
+    stops, or the stop where its successor merged, without merging looks
+    for a merge in the chain ahead of that one instead.  A successor passed
+    unmerged is retired, and the chain scans on through its segment; this
+    bounds the work that a path whose scans never meet (a smooth one) can
+    waste.  The stops are the first chain's, followed through the merges.
+    With one chain this is the plain greedy scan, one window at a time.
     """
     K = S.shape[0] - 1
-    X = S[:, 0] if S.shape[1] == 1 else S
-    stops = []
-    i = 0
-    gap = 16.0
-    while i < K:
-        anchor = X[i]
-        j = i + 1
-        block = min(int(4.0 * gap) + 16, _MAX_BLOCK)
-        while j <= K:
-            r = X[j : j + block] / anchor
+    K2 = K + 2  # (chain c, index i) is encoded as c * K2 + i
+    cols = [S[:, c] for c in range(S.shape[1])]
+    views = {}
+
+    def windows(B):
+        # row i of each view is the column's [i, i + B), without a copy
+        if B not in views:
+            views[B] = [
+                as_strided(c, (K + 2 - B, B), (c.strides[0],) * 2, writeable=False)
+                for c in cols
+            ]
+        return views[B]
+
+    def chains(M):
+        # per chain id, with row M standing for "no successor": state,
+        # successor (the target of a live chain, the chain a merged one
+        # joined), the last index a predecessor may merge at, and the
+        # encoded anchors of the first _HEAD steps (K + 1 when unfilled)
+        succ = np.arange(1, M + 2)
+        succ[M] = M
+        head = np.arange(M + 1)[:, None] * K2 + np.full(_HEAD, K + 1)
+        return np.zeros(M + 1, np.int8), succ, np.full(M + 1, K + 1), head.ravel()
+
+    M = 1
+    state, succ, end, head = chains(M)
+    ids = np.zeros(1, np.int64)  # the active chains, in path order
+    a = np.zeros(1, np.int64)  # their anchors, the last stop of each
+    p = np.ones(1, np.int64)  # the next index each reads
+    tg = succ[ids]
+    row, code, total = ids * _HEAD, ids * K2, 0
+    rec_ids, rec_a = [ids], [a]  # every chain's anchor after every step
+    gap, streak, hits, step, pmax = 16.0, 0, 0, 0, 1
+    pilot = True
+    hit_buf = np.ones((0, 0), bool)
+    while ids.size and K > 0:
+        B = int(gap) + 16
+        e = max(B.bit_length() - 3, 0)
+        B = min(((B >> e) + 1) << e << streak, _MAX_BLOCK, K)  # 4 sizes an octave
+        near = pmax > K + 1 - B
+        s = np.minimum(p, K + 1 - B) if near else p
+        acc = None
+        for col, view in zip(cols, windows(B)):
+            r = view[s]
+            r /= col[a][:, None]
             r -= 1.0
             r *= r
-            if r.ndim == 2:
-                r = r.sum(axis=1)
-            hit = r >= d2
-            k = int(hit.argmax())
-            if hit[k]:
-                break
-            j += block
-            block = min(2 * block, _MAX_BLOCK)
-        else:  # no crossing before the horizon
+            if acc is None:
+                acc = r
+            else:
+                acc += r
+        # a last column of True makes argmax give B for a window without a hit
+        if hit_buf.shape != (ids.size, B + 1):
+            hit_buf = np.ones((ids.size, B + 1), bool)
+        hit = hit_buf[:, :B]
+        np.greater_equal(acc, d2, out=hit)
+        if near:  # a window clamped to the horizon re-reads indices before p
+            hit &= np.arange(B) >= (p - s)[:, None]
+        k = hit_buf.argmax(axis=1)
+        got = k < B
+        j = s + k
+        n = int(np.count_nonzero(got))
+        if n:
+            a = np.where(got, j, a)
+            total, last = int(a.sum()), total
+            gap += ((total - last) / n - gap) * min(1.0, n / 16.0)
+            hits += n
+            streak = 0
+        else:
+            streak += 1
+        p = j + got
+        pmax += B
+        rec_ids.append(ids)
+        rec_a.append(a)
+        drop = None
+        if near:
+            pmax = int(p.max())
+            drop = p > K  # no crossing before the horizon
+        if step < _HEAD:
+            head[row + step] = code + a
+            if step == _HEAD - 1:
+                end[ids] = np.minimum(end[ids], a)
+        if step % _CHECK == _CHECK - 1:
+            q = tg * K2 + a
+            merged = head[head.searchsorted(q)] == q
+            if merged.any():
+                joined = ids[merged]
+                state[joined] = _MERGED
+                succ[joined] = tg[merged]
+                end[joined] = np.minimum(end[joined], a[merged])
+                drop = merged if drop is None else drop | merged
+            leave = (a > end[tg]) & ~merged
+            if leave.any():
+                left = tg[leave]
+                state[left[state[left] != _MERGED]] = _RETIRED
+                tg[leave] = succ[left]
+                bad = state[tg] == _RETIRED
+                while bad.any():
+                    tg[bad] = succ[tg[bad]]
+                    bad = state[tg] == _RETIRED
+                succ[ids] = tg
+                gone = state[ids] == _RETIRED
+                drop = gone if drop is None else drop | gone
+        if drop is not None and drop.any():
+            keep = ~drop
+            ids, a, p, tg = ids[keep], a[keep], p[keep], tg[keep]
+            row, code, total = ids * _HEAD, ids * K2, int(a.sum())
+        step += 1
+        if pilot and hits >= _PILOT and ids.size:
+            pilot = False
+            a0 = int(a[0])
+            M = max(int(min((K - a0) / (gap * _SEGMENT), _MAX_CHAINS, K - a0)), 1)
+            if M > 1:
+                state, succ, end, head = chains(M)
+                ids = np.arange(M)
+                a = a0 + (K - a0) * ids // M
+                p = a + 1
+                tg = succ[ids]
+                row, code, total = ids * _HEAD, ids * K2, int(a.sum())
+                pmax = int(p[-1])
+                rec_ids.append(ids)
+                rec_a.append(a)
+                step = 0
+    # each chain's records in step order; a step without a stop repeats one
+    rid = np.concatenate(rec_ids)
+    order = np.argsort(rid, kind="stable")
+    rid, ra = rid[order], np.concatenate(rec_a)[order]
+    new = np.ones(rid.size, bool)
+    new[1:] = (rid[1:] != rid[:-1]) | (ra[1:] != ra[:-1])
+    rid, ra = rid[new], ra[new]
+    first = np.searchsorted(rid, np.arange(M + 1))
+    pieces, c, after = [], 0, 0
+    while True:
+        mine = ra[first[c] : first[c + 1]]
+        pieces.append(mine[np.searchsorted(mine, after, side="right") :])
+        if state[c] != _MERGED:
             break
-        j += k
-        stops.append(j)
-        gap += (j - i - gap) / 16.0
-        i = j
-    return np.array(stops, dtype=np.int64)
+        after, c = mine[-1], succ[c]
+    if state[c] == _RETIRED:
+        raise InvariantError(f"crossing scan followed retired chain {c}")
+    stops = np.concatenate(pieces)
+    # every chain's first record is its start, not a stop it computed
+    return stops, rid.size - M - stops.size
 
 
 def embed(path: PricePath, delta: float) -> Embedding:
@@ -137,6 +277,9 @@ def embed(path: PricePath, delta: float) -> Embedding:
 
     The stop after grid index i is the first index j where the return
     since i reaches norm delta, sum((S_j/S_i - 1)**2) >= delta * delta.
+    The scan runs as chains in lockstep, one from the start of each
+    segment of the path, spliced where they merge (see _scan_crossings);
+    the stops are those of one scan from index 0, bit for bit.
     A single grid step whose return norm exceeds 2 delta means the
     sampling grid is too coarse to localize the crossing and raises
     ValueError.
@@ -145,7 +288,7 @@ def embed(path: PricePath, delta: float) -> Embedding:
         raise ValueError("delta must be positive")
     S = path.values
     K = S.shape[0] - 1
-    stops = _scan_crossings(S, delta * delta)
+    stops, _ = _scan_crossings(S, delta * delta)
     if stops.size:
         prev = np.concatenate([[0], stops[:-1]])
         raws = S[stops] / S[prev] - 1.0
@@ -211,6 +354,9 @@ def gen_gbm(mu, sigma, T, grid_step, seed, s0=1.0) -> PricePath:
     return PricePath(times=np.linspace(0.0, T, K + 1), values=values)
 
 
+_NORMAL_CHUNK = 1 << 16  # normals drawn at a time by _fgn_davies_harte
+
+
 def _fgn_davies_harte(n, hurst, rng, dtype=np.float64):
     """Fractional Gaussian noise with exact covariance, unit steps.
 
@@ -257,18 +403,30 @@ def _fgn_davies_harte(n, hurst, rng, dtype=np.float64):
         np.sqrt(v, out=v)
     # Hermitian-symmetric Gaussian spectrum sqrt(eig m / 2) (wr + i wi), with
     # the two real modes scaled by sqrt 2 -> real noise via irfft.  Each mode
-    # k = 1..n-1 carries its amplitude in both of its slots, and the normals
-    # are drawn as the wr block and then the wi block, one reused array
+    # k = 1..n-1 carries its amplitude in both of its slots.  The normals are
+    # drawn as the wr block of n + 1 and then the wi block of n + 1, the same
+    # stream as two whole draws, but in chunks of one small reused array:
+    # a draw array of the path's size would stay in the heap below glibc's
+    # mmap threshold and put the inverse transform's scratch on top of it
     buf[2::2] = buf[1:-1:2]
-    w = np.empty(n + 1, dtype=dtype)
-    rng.standard_normal(dtype=dtype, out=w)
-    w[0] *= math.sqrt(2.0)
-    w[-1] *= math.sqrt(2.0)
-    buf[:1] *= w[:1]
-    buf[1::2] *= w[1:]
-    rng.standard_normal(dtype=dtype, out=w)
-    buf[2::2] *= w[1:-1]
-    del w
+    w = np.empty(min(n + 1, _NORMAL_CHUNK), dtype=dtype)
+    for real in (True, False):
+        for lo in range(0, n + 1, w.size):
+            z = w[: min(w.size, n + 1 - lo)]
+            hi = lo + z.size
+            rng.standard_normal(dtype=dtype, out=z)
+            k0 = max(lo, 1)
+            if real:  # wr_k goes to slot 0 (k = 0) or slot 2k - 1
+                if lo == 0:
+                    z[0] *= math.sqrt(2.0)
+                    buf[0] *= z[0]
+                if hi == n + 1:
+                    z[-1] *= math.sqrt(2.0)
+                buf[2 * k0 - 1 : 2 * hi - 1 : 2] *= z[k0 - lo :]
+            else:  # wi_k goes to slot 2k for k = 1..n-1
+                k1 = min(hi, n)
+                buf[2 * k0 : 2 * k1 : 2] *= z[k0 - lo : k1 - lo]
+    del w, z
     buf = fftpack.irfft(buf, overwrite_x=True)
     return buf[:n]
 

@@ -34,6 +34,23 @@ def rademacher_run():
     return sos_run(unit_box_game(0.1), path)
 
 
+def reference_stops(values, delta):
+    """The embed docstring's definition, one grid index at a time: the
+    stop after i is the first j with sum((S_j/S_i - 1)**2) >= delta * delta."""
+    d2 = delta * delta
+    S = np.asarray(values, dtype=float).tolist()
+    stops, i = [], 0
+    for j in range(1, len(S)):
+        acc = 0.0
+        for sj, si in zip(S[j], S[i]):
+            r = sj / si - 1.0
+            acc += r * r
+        if acc >= d2:
+            stops.append(j)
+            i = j
+    return stops
+
+
 def peak_rss_ratio(call):
     """Rise of the peak RSS over one path-generating call, divided by the
     bytes of the path it returns.

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from gtpbet.cli import main, parse_config
+from gtpbet.cli import main, parse_config, run_scenario
 
 
 def write_config(tmp_path, text):
@@ -58,6 +58,30 @@ def test_run_universal_compare(tmp_path):
     assert main(["run", str(f), "--outdir", str(tmp_path / "out")]) == 0
     head = (tmp_path / "out" / "universal.csv").read_text().split("\n")[0]
     assert head == "n,K1,KU0,KU1"
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_summary_writes_non_finite_floats_as_null(tmp_path, capsys):
+    # the first radius is wider than any move of the path, so it has no
+    # stop and the roughness estimate between it and the next is NaN
+    cfg = {"scenario": "holder", "H": "0.3", "scale": "0.1", "grid_step": repr(2.0**-18),
+           "delta": "0.9 0.02 0.01", "seed": "1"}
+    summary = run_scenario(cfg, tmp_path / "out")
+    assert summary["rows"][0]["N"] == 0
+    assert np.isnan(summary["H_estimates"][0])
+    written = _strict_json((tmp_path / "out" / "summary.json").read_text())
+    assert written["H_estimates"][0] is None
+    assert written["H_estimates"][1] == summary["H_estimates"][1]
+    assert written["rows"] == summary["rows"]
+    f = write_config(tmp_path, "".join(f"{k} = {v}\n" for k, v in cfg.items()))
+    assert main(["run", str(f), "--outdir", str(tmp_path / "cli")]) == 0
+    assert _strict_json(capsys.readouterr().out) == written
 
 
 def test_run_model_select(tmp_path):

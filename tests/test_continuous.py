@@ -7,30 +7,32 @@ from scipy import fft
 
 from gtpbet import (
     PricePath,
+    continuous,
     embed,
     gen_fbm,
     gen_gbm,
     girsanov_rate_experiment,
     holder_experiment,
 )
-from conftest import peak_rss_ratio
+from conftest import peak_rss_ratio, reference_stops
 
 
-def _reference_stops(values, delta):
-    """The embed docstring's definition, one grid index at a time: the
-    stop after i is the first j with sum((S_j/S_i - 1)**2) >= delta * delta."""
-    d2 = delta * delta
-    S = np.asarray(values, dtype=float).tolist()
-    stops, i = [], 0
-    for j in range(1, len(S)):
-        acc = 0.0
-        for sj, si in zip(S[j], S[i]):
-            r = sj / si - 1.0
-            acc += r * r
-        if acc >= d2:
-            stops.append(j)
-            i = j
-    return stops
+def _definition_stops(values, delta, stops):
+    """The indices j >= 1 with sum((S_j/S_a - 1)**2) >= delta * delta, where
+    a is the last of `stops` before j (0 before the first), in the scan's
+    arithmetic and whole-array.  `stops` is the greedy scan's stops exactly
+    when this returns it."""
+    S = np.asarray(values, dtype=float)
+    stops = np.asarray(stops, dtype=np.int64)
+    j = np.arange(1, S.shape[0])
+    anchor = np.concatenate([[0], stops])[np.searchsorted(stops, j)]
+    acc = np.zeros(j.size)
+    for col in range(S.shape[1]):
+        r = S[j, col] / S[anchor, col]
+        r -= 1.0
+        r *= r
+        acc += r
+    return j[acc >= delta * delta].tolist()
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -44,7 +46,7 @@ def test_embed_matches_definition_on_random_paths(d):
         for delta in (0.003, 0.006, 0.02):
             got = embed(path, delta).stop_indices
             assert got.dtype == np.int64
-            assert got.tolist() == _reference_stops(values, delta)
+            assert got.tolist() == reference_stops(values, delta)
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -65,7 +67,7 @@ def test_embed_crossing_threshold_is_inclusive(sign):
         ):
             path = PricePath(times=t, values=np.array(values)[:, None])
             assert embed(path, delta).stop_indices.tolist() == stops
-            assert _reference_stops(path.values, delta) == stops
+            assert reference_stops(path.values, delta) == stops
 
 
 def test_embed_matches_definition_near_threshold():
@@ -85,9 +87,126 @@ def test_embed_matches_definition_near_threshold():
             anchor = x
     values = np.array(values)[:, None]
     path = PricePath(times=np.arange(values.shape[0] + 0.0), values=values)
-    expect = _reference_stops(values, delta)
+    expect = reference_stops(values, delta)
     assert 500 < len(expect) < 1500  # near-threshold points on both sides
     assert embed(path, delta).stop_indices.tolist() == expect
+
+
+def _walk(rng, k, d, vol):
+    """Prices of a d-column log random walk of k steps of sd vol."""
+    incr = vol * rng.standard_normal((k, d))
+    return np.exp(np.vstack([np.zeros(d), np.cumsum(incr, axis=0)]))
+
+
+def _many_chains(monkeypatch, segment):
+    """Cut the path after a pilot of one stop into segments of `segment`
+    stops, so that short paths run many chains."""
+    monkeypatch.setattr(continuous, "_PILOT", 1)
+    monkeypatch.setattr(continuous, "_SEGMENT", segment)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_lockstep_scan_matches_definition_on_long_paths(d):
+    # 200,000 grid points and 8,000 to 32,000 stops: tens to a hundred
+    # chains at the default segment length, spliced at their merges
+    rng = np.random.default_rng(60 + d)
+    values = _walk(rng, 200_000, d, 0.002 / math.sqrt(d))
+    path = PricePath(times=np.arange(200_001.0), values=values)
+    for delta in (0.005, 0.01):
+        stops, discarded = continuous._scan_crossings(values, delta * delta)
+        assert discarded > 0  # chains after the first ran
+        assert _definition_stops(values, delta, stops) == stops.tolist()
+        assert np.array_equal(embed(path, delta).stop_indices, stops)
+
+
+def test_lockstep_scan_near_threshold_on_a_long_path():
+    # the near-threshold path of the test above, 50 times longer (about
+    # 25,000 stops); its construction tracks the stops as it goes
+    delta = 0.01
+    rng = np.random.default_rng(6)
+    values, anchor, expect = [1.0], 1.0, []
+    for _ in range(50_000):
+        values.append(anchor * (1.0 + 0.5 * delta * rng.uniform(-1.0, 1.0)))
+        x = anchor * (1.0 + delta * rng.choice([-1.0, 1.0]))
+        for _ in range(abs(int(rng.integers(-2, 3)))):
+            x = np.nextafter(x, rng.choice([0.0, 2.0 * x]))
+        values.append(x)
+        r = x / anchor - 1.0
+        if r * r >= delta * delta:
+            anchor = x
+            expect.append(len(values) - 1)
+    values = np.array(values)[:, None]
+    stops, discarded = continuous._scan_crossings(values, delta * delta)
+    assert discarded > 0
+    assert stops.tolist() == expect
+    assert _definition_stops(values, delta, stops) == expect
+
+
+@pytest.mark.parametrize("segment", [256, 3])
+def test_lockstep_scan_flat_stretches_and_a_quiet_tail(monkeypatch, segment):
+    # flat stretches far longer than a window, some holding chain starts,
+    # and no crossing from the last stop to the horizon
+    if segment != 256:
+        _many_chains(monkeypatch, segment)
+    incr = 0.002 * np.random.default_rng(8).standard_normal(100_000)
+    for start in range(5_000, 80_000, 15_000):
+        incr[start : start + 4_000] = 0.0
+    incr[90_000:] = 0.0
+    values = np.exp(np.concatenate([[0.0], np.cumsum(incr)]))[:, None]
+    stops, discarded = continuous._scan_crossings(values, 0.01**2)
+    assert discarded > 0
+    assert stops[-1] <= 90_000
+    assert _definition_stops(values, 0.01, stops) == stops.tolist()
+
+
+def test_lockstep_chains_landing_on_one_index_in_one_step(monkeypatch):
+    # a step of 1.5 delta every 50 grid points and flat in between, so every
+    # step is a stop; with about ten chain starts to a flat stretch, the
+    # chains started on one stretch land on its step together
+    _many_chains(monkeypatch, 0.1)
+    delta = 0.01
+    jumps = np.arange(50, 20_000, 50)
+    log_step = np.zeros(20_000)
+    log_step[jumps - 1] = np.log1p(1.5 * delta) * np.where(np.arange(jumps.size) % 3, 1.0, -1.0)
+    values = np.exp(np.concatenate([[0.0], np.cumsum(log_step)]))[:, None]
+    stops, discarded = continuous._scan_crossings(values, delta * delta)
+    assert discarded > 0
+    assert stops.tolist() == jumps.tolist()
+
+
+def test_lockstep_scan_with_more_chains_than_grid_steps(monkeypatch):
+    _many_chains(monkeypatch, 1e-3)
+    rng = np.random.default_rng(9)
+    for k in range(1, 40):
+        values = _walk(rng, k, 2, 0.01)
+        for delta in (0.005, 0.01, 0.03):
+            stops, _ = continuous._scan_crossings(values, delta * delta)
+            assert stops.tolist() == reference_stops(values, delta)
+
+
+def test_lockstep_scan_follows_a_successor_past_its_merge(monkeypatch):
+    # with segments of 16 stops a chain often meets the scan ahead only
+    # after its successor has merged on; it must then look for the merge in
+    # the chain its successor joined, not scan on alone to the horizon,
+    # which computes some 30 times the stops kept
+    _many_chains(monkeypatch, 16)
+    values = gen_fbm(0.3, 0.16, 1.0, 2.0**-20, 2).values
+    stops, discarded = continuous._scan_crossings(values, 0.01**2)
+    assert 0 < discarded <= stops.size
+    assert _definition_stops(values, 0.01, stops) == stops.tolist()
+
+
+def test_lockstep_scan_bounds_the_waste_on_a_smooth_path():
+    # scans of exp(t) from different starts never meet, so every chain but
+    # the first is retired by its predecessor; without that rule the chains
+    # computed 27 times the 9,986 stops kept
+    t = np.linspace(0.0, 1.0, 2**20 + 1)
+    values = np.exp(t)[:, None]
+    delta = 1e-4
+    stops, discarded = continuous._scan_crossings(values, delta * delta)
+    assert stops.size == pytest.approx(1.0 / math.log1p(delta), rel=0.01)
+    assert 0 < discarded <= 5 * stops.size
+    assert _definition_stops(values, delta, stops) == stops.tolist()
 
 
 def test_embed_exponential_spacing():
@@ -315,8 +434,7 @@ def test_generators_reject_degenerate_grids(T, grid_step, name):
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss units are Linux's")
 def test_gen_fbm_peak_memory():
     # the transform buffer of 2K doubles, pocketfft's plan and its scratch
-    # make six path sizes (seven here: below glibc's 32 MiB mmap threshold
-    # the freed normal draws stay in the heap); a second copy of the
+    # make six path sizes (6.07 measured here); a second copy of the
     # spectrum would reach ten
     assert peak_rss_ratio("gen_fbm(0.3, 0.1, 1.0, 2**-21, 1)") <= 8.0
 

@@ -1,13 +1,16 @@
 """Property tests over random inputs: the running moments, the prefix
 consistency of both strategies, the solver's KL identity and optimality,
-and the invariants of the crossing embedding."""
+the crossing scan against its definition, and the invariants of the
+crossing embedding."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gtpbet import (
     PhiProblem,
+    continuous,
     PricePath,
     embed,
     kl_capital_identity,
@@ -17,7 +20,7 @@ from gtpbet import (
     sos_capital_fast,
     sos_run,
 )
-from conftest import corner_game
+from conftest import corner_game, reference_stops
 
 # derandomized, so the suite gives the same verdict on every run
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
@@ -111,3 +114,33 @@ def test_embedding_lies_on_the_sphere_and_compounds(seed, d, delta, vol):
     np.testing.assert_allclose(compounded, values[emb.stop_indices], rtol=1e-11)
     last = values[emb.stop_indices[-1]] if emb.N else values[0]
     np.testing.assert_allclose(last * (1.0 + emb.final_return), values[-1], rtol=1e-12)
+
+
+@PROPERTY
+@given(
+    seed=seeds,
+    d=dims,
+    n=st.integers(1, 3000),
+    delta=st.floats(0.003, 0.03),
+    segment=st.sampled_from([0.05, 1.0, 8.0]),
+    head=st.sampled_from([2, 8, 512]),
+    flat=st.booleans(),
+)
+def test_lockstep_scan_equals_the_definition_with_many_chains(
+    seed, d, n, delta, segment, head, flat
+):
+    # a segment of a few stops or less puts a chain start every few grid
+    # points, so the stops are spliced from many chains and merges; a head
+    # of a few steps makes chains retire their successors often
+    rng = np.random.default_rng(seed)
+    steps = 0.004 / np.sqrt(d) * rng.standard_normal((n, d))
+    if flat:
+        steps[rng.integers(0, n) :] = 0.0  # a quiet tail
+    values = np.exp(np.concatenate([np.zeros((1, d)), np.cumsum(steps, axis=0)]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(continuous, "_PILOT", 1)
+        mp.setattr(continuous, "_SEGMENT", segment)
+        mp.setattr(continuous, "_HEAD", head)
+        stops, discarded = continuous._scan_crossings(values, delta * delta)
+    assert stops.tolist() == reference_stops(values, delta)
+    assert discarded >= 0
