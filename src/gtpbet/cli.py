@@ -67,8 +67,8 @@ def _write_long_series(path, series: dict) -> None:
     with open(path, "w", newline="") as fh:
         fh.write("series,n,value\n")
         for name, values in series.items():
-            for i, v in enumerate(values.tolist(), start=1):
-                fh.write(f"{name},{i},{v:.17g}\n")
+            row = name.replace("%", "%%") + ",%d,%.17g\n"
+            fh.writelines(row % r for r in enumerate(values.tolist(), start=1))
 
 
 def _imaginary_path(n_rounds: int) -> np.ndarray:
@@ -138,10 +138,12 @@ def _universal_compare(cfg, seed, outdir):
     res.ledger.to_csv(outdir / "ledger.csv")
     with open(outdir / "universal.csv", "w", newline="") as fh:
         fh.write("n,K1,KU0,KU1\n")
-        for i, logk in enumerate(res.ledger.logK_true.tolist()):
-            fh.write(
-                f"{i + 1},{math.exp(logk):.17g},{up0[i]:.17g},{up1[i]:.17g}\n"
+        fh.writelines(
+            "%d,%.17g,%.17g,%.17g\n" % (i, math.exp(logk), ku0, ku1)
+            for i, (logk, ku0, ku1) in enumerate(
+                zip(res.ledger.logK_true.tolist(), up0.tolist(), up1.tolist()), start=1
             )
+        )
     summary = res.summary()
     summary["KU0_final"] = float(up0[-1])
     summary["KU1_final"] = float(up1[-1])

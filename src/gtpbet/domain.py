@@ -287,7 +287,7 @@ class CapitalLedger:
     def to_csv(self, path) -> None:
         """Write one row per round, RFC-4180, LF line endings, 17 sig digits."""
         cols = [getattr(self, c).tolist() for c in LEDGER_COLUMNS[1:]]
+        row = "%d," + ",".join(["%.17g"] * len(cols)) + "\n"
         with open(path, "w", newline="") as fh:
             fh.write(",".join(LEDGER_COLUMNS) + "\n")
-            for n, *row in zip(self.n.tolist(), *cols):
-                fh.write(f"{n}," + ",".join(format(v, ".17g") for v in row) + "\n")
+            fh.writelines(row % r for r in zip(self.n.tolist(), *cols))

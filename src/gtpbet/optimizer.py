@@ -119,22 +119,24 @@ def _mask_beyond(M, ends, fill):
 def _newton_rows(X, P, ends, start, tol, max_iter):
     """solve_phi's damped Newton, run on B histories at once.
 
-    Row b maximises phi over X[:ends[b]]; P is _outer_rows(X).  Every row
-    starts from start, or from the origin where start is infeasible for
-    it, and follows solve_phi's rules on its own: the 0.9
-    fraction-to-boundary step, Armijo backtracking, the full step at
-    phi's rounding floor, and no further step once its gradient norm is
-    at most tol.  The products are taken over the whole block, so a
-    row's arithmetic does not depend on the other rows.  Raises
+    Row b maximises phi over X[:ends[b]]; P is _outer_rows(X).  start
+    is one point for every row, shape (d,), as solve_phi passes it, or
+    one per row, shape (B, d), as the exact run passes its predicted
+    optima; a row whose start is infeasible (or NaN) for its own history
+    starts from the origin instead.  Every row follows solve_phi's rules
+    on its own: the 0.9 fraction-to-boundary step, Armijo backtracking,
+    the full step at phi's rounding floor, and no further step once its
+    gradient norm is at most tol.  The products are taken over the whole
+    block, so a row's arithmetic does not depend on the other rows.  Raises
     SolverError for the first row that fails.  Returns alpha (B, d),
     phi (B,), gradient norms (B,), Hessians (B, d, d) and iteration
     counts (B,).
     """
     B, d = len(ends), X.shape[1]
-    alpha = np.tile(start, (B, 1))
+    alpha = np.array(np.broadcast_to(start, (B, d)), dtype=float)
     R = _mask_beyond(1.0 + alpha @ X.T, ends, 1.0)
-    bad = np.any(R <= 0.0, axis=1)
-    if np.any(bad):  # infeasible warm start; the origin is always feasible
+    bad = ~np.all(R > 0.0, axis=1)
+    if np.any(bad):  # infeasible start; the origin is always feasible
         alpha[bad] = 0.0
         R[bad] = 1.0
     phi = np.sum(np.log(R), axis=1)

@@ -53,6 +53,7 @@ class SosResult:
     delta_phi: np.ndarray  # (N,)
     phi00_alpha0: float  # training-only objective at its own optimum
     a_n: np.ndarray  # (N,) x_n' V_{0,n-1}^{-1} x_n (determinant recursion)
+    iterations: np.ndarray  # (N,) Newton iterations that solved each round
 
     @property
     def N(self) -> int:
@@ -76,9 +77,12 @@ class SosResult:
         return out
 
 
-# Rounds per batched Newton solve.  Measured on a 2-core host: 16 is the
-# fastest of 8..128; at 128 OpenBLAS threads the block products, which
-# doubles the CPU time without saving wall time.
+# Rounds per batched Newton solve.  With the predicted starts, perfbench
+# exact_trading on a 2-core host (10 s runs at seeds 301-310, order
+# rotated) gave median pass_s 0.52 s at 8, 0.49 s at 16 and 0.49 s at 32;
+# 8 beat 16 at 1 of the 10 seeds and 32 at 3, and 32 raised the median
+# peak RSS from 89.3 to 90.0 MiB.  At 128 OpenBLAS threads the block
+# products, which doubles the CPU time without saving wall time.
 _BLOCK = 16
 
 
@@ -94,12 +98,21 @@ def sos_run(
 
     alpha*_n maximises phi over the training points and x_1..x_n only, so
     the rounds are independent problems: they are solved _BLOCK at a
-    time by one batched Newton, each block starting from the previous
-    block's last optimum, and every ledger column is then a whole-array
-    expression.  Every check_every rounds the exact-relation identity
-    alpha* = V*^{-1} s (with V* the reweighted second-moment matrix) and
-    the determinant bookkeeping are verified from scratch; violations
-    raise InvariantError.  A solver failure raises SolverError naming the
+    time by one batched Newton, and every ledger column is then a
+    whole-array expression.  Round n of a block starts from one Newton
+    step from a, the previous block's last optimum (for the first block,
+    the training-only optimum): a + H_n^{-1} g_n, where g_n is the
+    gradient of phi over the history through round n at a and H_n minus
+    its Hessian.  Over the history before the block the gradient is at
+    most solver_tol and H is the one that solve returned, so both need
+    only the block's own outcomes up to round n; a prediction infeasible
+    for its round's history falls back to the origin.  The result's
+    iterations hold each round's Newton iteration count.
+
+    Every check_every rounds the exact-relation identity alpha* = V*^{-1} s
+    (with V* the reweighted second-moment matrix) and the determinant
+    bookkeeping are verified from scratch; violations raise
+    InvariantError.  A solver failure raises SolverError naming the
     round.  An empty path, a non-finite outcome or one outside the domain
     raises ValueError naming the round.
     """
@@ -126,17 +139,25 @@ def sos_run(
     X[n0 : n0 + N] = path
     P = _outer_rows(X)
     blocks = []
-    start = sol0.alpha_star
+    alpha, info = sol0.alpha_star, sol0.hessian
     for hi in range(n0 + _BLOCK, X.shape[0] + 1, _BLOCK):
-        ends = np.arange(hi - _BLOCK + 1, hi + 1)
+        lo = hi - _BLOCK
+        # the predicted optima: running sums over the block's own rows from
+        # alpha, the previous block's last optimum, and info, minus phi's
+        # Hessian there, so a row's start reads no outcome after its round
+        w = 1.0 / (1.0 + X[lo:hi] @ alpha)
+        grad = np.cumsum(X[lo:hi] * w[:, None], axis=0)
+        H = info.ravel() + np.cumsum(P[lo:hi] * (w * w)[:, None], axis=0)
+        start = alpha + np.linalg.solve(H.reshape(-1, d, d), grad[:, :, None])[:, :, 0]
+        ends = np.arange(lo + 1, hi + 1)
         try:
             blocks.append(_newton_rows(X[:hi], P[:hi], ends, start, solver_tol, 200))
         except SolverError as exc:
             n = ends[exc.row] - n0
             msg = f"solver failed at round {n}: {exc}"
             raise SolverError(msg, exc.alpha, exc.grad_norm) from exc
-        start = blocks[-1][0][-1]
-    alphas, phis, _, hess, _ = (np.concatenate(col)[:N] for col in zip(*blocks))
+        alpha, info = blocks[-1][0][-1], blocks[-1][3][-1]
+    alphas, phis, _, hess, its = (np.concatenate(col)[:N] for col in zip(*blocks))
 
     # the bet of round n is alpha*_{n-1}
     bets = np.vstack([sol0.alpha_star, alphas[:-1]])
@@ -209,6 +230,7 @@ def sos_run(
         delta_phi=delta_phi,
         phi00_alpha0=phi00_alpha0,
         a_n=a_seq,
+        iterations=its,
     )
 
 

@@ -1,9 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from gtpbet.cli import main, parse_config, run_scenario
+from gtpbet import UniversalPortfolioConfig, universal_portfolio
+from gtpbet.cli import _write_long_series, main, parse_config, run_scenario
 
 
 def write_config(tmp_path, text):
@@ -58,6 +60,36 @@ def test_run_universal_compare(tmp_path):
     assert main(["run", str(f), "--outdir", str(tmp_path / "out")]) == 0
     head = (tmp_path / "out" / "universal.csv").read_text().split("\n")[0]
     assert head == "n,K1,KU0,KU1"
+
+
+def test_universal_csv_bytes_equal_per_value_format(tmp_path):
+    f = write_config(tmp_path, "scenario = universal_compare\nN = 60\nM = 10\nseed = 4\n")
+    assert main(["run", str(f), "--outdir", str(tmp_path / "out")]) == 0
+    # the scenario's own path; 17 significant digits read back exactly
+    path = np.random.default_rng(4).uniform(-0.8, 0.8, size=(60, 1))
+    up0 = universal_portfolio(UniversalPortfolioConfig(M=10), path)
+    up1 = universal_portfolio(UniversalPortfolioConfig(M=10, include_training=True), path)
+    logk = [float(line.split(",")[1]) for line in
+            (tmp_path / "out" / "ledger.csv").read_text().split("\n")[1:-1]]
+    want = "n,K1,KU0,KU1\n" + "".join(
+        f"{i + 1},{format(math.exp(k), '.17g')},{format(a, '.17g')},{format(b, '.17g')}\n"
+        for i, (k, a, b) in enumerate(zip(logk, up0, up1))
+    )
+    assert (tmp_path / "out" / "universal.csv").read_bytes() == want.encode()
+
+
+def test_long_series_bytes_equal_per_value_format(tmp_path):
+    series = {
+        "a": np.array([math.nan, math.inf, -math.inf, -0.0]),
+        "b%d": np.array([1e-300, 1e300, 1.0 / 3.0]),
+    }
+    _write_long_series(tmp_path / "s.csv", series)
+    want = "series,n,value\n" + "".join(
+        f"{name},{i},{format(float(v), '.17g')}\n"
+        for name, values in series.items()
+        for i, v in enumerate(values, start=1)
+    )
+    assert (tmp_path / "s.csv").read_bytes() == want.encode()
 
 
 def _strict_json(text):

@@ -125,6 +125,20 @@ def test_ledger_csv_format(tmp_path):
     assert float(fields[LEDGER_COLUMNS.index("GR")]) == 1.0 / 3.0
 
 
+def test_ledger_csv_bytes_equal_per_value_format(tmp_path):
+    specials = [math.nan, math.inf, -math.inf, -0.0, 1e-300, 1e300, -1e300, 1.0 / 3.0]
+    led = CapitalLedger(len(specials))
+    for k, col in enumerate(LEDGER_COLUMNS[1:]):
+        getattr(led, col)[:] = np.roll(specials, k)
+    out = tmp_path / "ledger.csv"
+    led.to_csv(out)
+    want = ",".join(LEDGER_COLUMNS) + "\n"
+    for i in range(len(led)):
+        row = [getattr(led, col)[i] for col in LEDGER_COLUMNS[1:]]
+        want += f"{i + 1}," + ",".join(format(float(v), ".17g") for v in row) + "\n"
+    assert out.read_bytes() == want.encode()
+
+
 def test_as_path_width_from_the_array():
     np.testing.assert_array_equal(as_path([0.1, 0.2]), [[0.1], [0.2]])
     assert as_path(np.zeros((4, 3))).shape == (4, 3)

@@ -24,6 +24,7 @@ from gtpbet import (
     sos_run,
 )
 from gtpbet.domain import LEDGER_COLUMNS
+from gtpbet.optimizer import _newton_rows, _outer_rows
 from gtpbet.sos import _BLOCK
 from conftest import corner_game, unit_box_game
 
@@ -384,6 +385,43 @@ def test_exact_run_prefix_consistent_across_blocks(d):
             )
         np.testing.assert_array_equal(part.alpha_star, full.alpha_star[:k])
         np.testing.assert_array_equal(part.delta_phi, full.delta_phi[:k])
+
+
+@pytest.mark.parametrize("d, most", [(1, 2.05), (2, 2.636), (3, 2.626)])
+def test_newton_iterations_per_round(d, most):
+    # each round starts from one Newton step past the previous block's
+    # optimum; starting from that optimum itself took one more iteration a
+    # round (3.05, 3.636 and 3.626 on these paths)
+    rng = np.random.default_rng(0)
+    path = np.clip(rng.uniform(-0.8, 0.8, size=(500, d)) + 0.1, -1.0, 1.0)
+    its = sos_run(corner_game(d), path).iterations
+    assert its.shape == (500,)
+    assert its.min() >= 1
+    assert its.mean() <= most
+
+
+def test_newton_rows_per_row_starts_and_fallback():
+    d, B = 2, 9
+    rng = np.random.default_rng(5)
+    train = corner_game(d).training.points
+    n0 = train.shape[0]
+    X = np.concatenate([train, rng.uniform(-0.9, 0.9, size=(B, d))])
+    ends = np.arange(n0 + 1, n0 + B + 1)
+    own = [solve_phi(PhiProblem(X[:m])) for m in ends]
+    start = np.array([sol.alpha_star for sol in own])
+    for b in (1, 4, 7):  # 1 + alpha.x = -1 at the row's own last outcome
+        x = X[ends[b] - 1]
+        start[b] = -2.0 * x / (x @ x)
+    start[5] = np.nan
+    alpha, phi, gnorm, hess, its = _newton_rows(X, _outer_rows(X), ends, start, 1e-10, 200)
+    for b, sol in enumerate(own):
+        np.testing.assert_allclose(alpha[b], sol.alpha_star, rtol=0.0, atol=1e-9)
+        assert abs(phi[b] - sol.phi_value) <= 1e-9 * max(1.0, abs(sol.phi_value))
+        assert gnorm[b] <= 1e-10
+        np.testing.assert_allclose(hess[b], sol.hessian, rtol=1e-8)
+    # a row started at its own optimum takes no step
+    assert np.all(its[[0, 2, 3, 6, 8]] == 0)
+    assert np.all(its[[1, 4, 5, 7]] > 0)
 
 
 def test_solver_failure_keeps_its_type_and_names_the_round():
