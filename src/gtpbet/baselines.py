@@ -59,15 +59,20 @@ def universal_portfolio(config: UniversalPortfolioConfig, path) -> np.ndarray:
     from M independent constant-strategy runs.  Accounts whose capital
     hits zero (boundary alphas with trained variant) simply stop
     contributing.
+
+    The work is one (n, M) array: the growth factors 1 + alpha_m x_i,
+    turned into running products and scaled by the training factor in
+    place, with the same multiplications as np.cumprod.
     """
     path = as_path(path, 1)[:, 0]
     alphas = config.account_alphas
-    rounds = path[:, None] * alphas[None, :] + 1.0  # (n, M)
-    if np.any(rounds < 0.0):
+    caps = np.multiply.outer(path, alphas)
+    caps += 1.0
+    if caps.min(initial=0.0) < 0.0:
         raise CollateralError("an account's growth factor went negative")
-    caps = np.cumprod(rounds, axis=0)
+    np.cumprod(caps, axis=0, out=caps)
     if config.include_training:
-        caps = caps * ((1.0 - alphas) * (1.0 + alphas))[None, :]
+        caps *= (1.0 - alphas) * (1.0 + alphas)
     return caps.mean(axis=1)
 
 

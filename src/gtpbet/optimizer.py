@@ -131,16 +131,35 @@ def _newton_rows(X, P, ends, start, tol, max_iter):
     SolverError for the first row that fails.  Returns alpha (B, d),
     phi (B,), gradient norms (B,), Hessians (B, d, d) and iteration
     counts (B,).
+
+    The call allocates its four (B, m) arrays once, for m = len(X), and
+    every iteration and trial writes into them: the residuals
+    R = 1 + alpha.x, the weights 1/R (which also hold each line-search
+    trial's residuals), the step's change of R, and one scratch array.
+    Columns past a row's history hold residual 1 and weight 0.  A trial
+    is taken over the whole block, with step length 0 on the rows that
+    are not searching; those rows and the rows whose step is rejected
+    copy their old residuals into it, and it becomes R.  A trial
+    is feasible exactly where its phi is finite, since log is NaN or
+    -inf at a residual <= 0.
     """
-    B, d = len(ends), X.shape[1]
+    B, (m, d) = len(ends), X.shape
+    lo = int(ends.min())
+    beyond = np.arange(lo, m) >= ends[:, None]  # of the columns from lo on
     alpha = np.array(np.broadcast_to(start, (B, d)), dtype=float)
-    R = _mask_beyond(1.0 + alpha @ X.T, ends, 1.0)
-    bad = ~np.all(R > 0.0, axis=1)
+    R, W, dR, S = (np.empty((B, m)) for _ in range(4))
+    np.matmul(alpha, X.T, out=R)
+    R += 1.0
+    R[:, lo:][beyond] = 1.0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        phi = np.log(R, out=S).sum(axis=1)
+    bad = ~np.isfinite(phi)
     if np.any(bad):  # infeasible start; the origin is always feasible
         alpha[bad] = 0.0
         R[bad] = 1.0
-    phi = np.sum(np.log(R), axis=1)
-    W = _mask_beyond(1.0 / R, ends, 0.0)
+        phi[bad] = 0.0
+    np.divide(1.0, R, out=W)
+    W[:, lo:][beyond] = 0.0
     grad = W @ X
     gnorm = np.linalg.norm(grad, axis=1)
     its = np.zeros(B, dtype=int)
@@ -156,42 +175,46 @@ def _newton_rows(X, P, ends, start, tol, max_iter):
                 gnorm[i],
                 i,
             )
-        hess = ((W * W) @ P).reshape(B, d, d)
+        hess = (np.multiply(W, W, out=S) @ P).reshape(B, d, d)
         step = np.linalg.solve(hess, grad[:, :, None])[:, :, 0]
-        dR = _mask_beyond(step @ X.T, ends, 0.0)
+        np.matmul(step, X.T, out=dR)
+        dR[:, lo:][beyond] = 0.0
         # keep every residual >= 0.1 of its current value: t <= -0.9 r / dr
         # wherever dr < 0, and t <= 1
-        t = -0.9 / np.minimum((dR / R).min(axis=1), -0.9)
+        t = -0.9 / np.minimum(np.divide(dR, R, out=S).min(axis=1), -0.9)
         slope = np.sum(grad * step, axis=1)
         # once the Newton decrement is at phi's rounding floor, Armijo would
         # compare values that differ only by rounding; phi is self-concordant,
         # so the full Newton step is the right one there
         full = slope <= 1e-13 * np.maximum(1.0, np.abs(phi))
         t[full] = 1.0
-        rows = np.flatnonzero(active)
-        while rows.size:
-            R_new = R[rows] + t[rows, None] * dR[rows]
+        searching = active
+        while True:
+            np.multiply(dR, np.where(searching, t, 0.0)[:, None], out=W)
+            W += R
             with np.errstate(invalid="ignore", divide="ignore"):
-                phi_new = np.sum(np.log(R_new), axis=1)
-            ok = np.all(R_new > 0.0, axis=1) & (
-                full[rows] | (phi_new >= phi[rows] + 1e-4 * t[rows] * slope[rows])
+                phi_new = np.log(W, out=S).sum(axis=1)
+            ok = searching & np.isfinite(phi_new) & (
+                full | (phi_new >= phi + 1e-4 * t * slope)
             )
-            took = rows[ok]
-            alpha[took] = alpha[took] + t[took, None] * step[took]
-            R[took] = R_new[ok]
-            phi[took] = phi_new[ok]
-            rows = rows[~ok]
-            t[rows] *= 0.5
-            failed = rows[t[rows] <= 1e-18]
+            alpha[ok] += t[ok, None] * step[ok]
+            phi[ok] = phi_new[ok]
+            np.copyto(W, R, where=~ok[:, None])
+            R, W = W, R
+            searching = searching & ~ok
+            if not np.any(searching):
+                break
+            t[searching] *= 0.5
+            failed = np.flatnonzero(searching & (t <= 1e-18))
             if failed.size:
                 i = int(failed[0])
                 raise SolverError("line search failed", alpha[i], gnorm[i], i)
         np.divide(1.0, R, out=W)
-        _mask_beyond(W, ends, 0.0)
+        W[:, lo:][beyond] = 0.0
         grad = W @ X
         gnorm = np.linalg.norm(grad, axis=1)
         its[active] += 1
-    hess = ((W * W) @ P).reshape(B, d, d)
+    hess = (np.multiply(W, W, out=S) @ P).reshape(B, d, d)
     return alpha, phi, gnorm, hess, its
 
 

@@ -77,12 +77,13 @@ class SosResult:
         return out
 
 
-# Rounds per batched Newton solve.  With the predicted starts, perfbench
-# exact_trading on a 2-core host (10 s runs at seeds 301-310, order
-# rotated) gave median pass_s 0.52 s at 8, 0.49 s at 16 and 0.49 s at 32;
-# 8 beat 16 at 1 of the 10 seeds and 32 at 3, and 32 raised the median
-# peak RSS from 89.3 to 90.0 MiB.  At 128 OpenBLAS threads the block
-# products, which doubles the CPU time without saving wall time.
+# Rounds per batched Newton solve.  With the allocation-free Newton,
+# perfbench exact_trading on a 2-core host (10 s runs at seeds 601-610,
+# order rotated) gave median pass_s 0.42 s at 8, 0.37 s at 16 and 0.37 s
+# at 32, and median peak RSS 86.1, 86.8 and 88.2 MiB; 8 beat 16 at 1 of
+# the 10 seeds and 32 at 8, and 32 raised the peak RSS at all 10.  At 128
+# OpenBLAS threads the block products, which doubles the CPU time
+# without saving wall time.
 _BLOCK = 16
 
 

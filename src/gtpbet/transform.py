@@ -72,18 +72,41 @@ def transform_returns(prices, c: float):
 
 def read_price_csv(path) -> np.ndarray:
     """Prices from a CSV with a header row; column 1 is a date or index
-    (ignored), columns 2..d+1 are prices."""
+    (ignored), columns 2..d+1 are prices.  A row whose column count is not
+    the header's, or with a price cell that is empty or not a number,
+    raises ValueError naming its line in the file."""
     rows = []
     with open(path) as fh:
         header = fh.readline()
         if not header:
             raise ValueError("empty price file")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
+        width = header.count(",") + 1
+        if width < 2:
+            raise ValueError("line 1: the header names no price column")
+        for lineno, line in enumerate(fh, start=2):
             parts = line.split(",")
-            rows.append([float(v) for v in parts[1:]])
+            if len(parts) != width:
+                if line.isspace():
+                    continue
+                raise ValueError(
+                    f"line {lineno}: {len(parts)} columns where the header has {width}"
+                )
+            try:  # float() ignores the whitespace around a cell
+                rows.append(list(map(float, parts[1:])))
+            except ValueError:
+                raise ValueError(f"line {lineno}: {_bad_cell(parts)}") from None
     if not rows:
         raise ValueError("no price rows found")
     return np.asarray(rows, dtype=float)
+
+
+def _bad_cell(parts) -> str:
+    """The cause for the first price cell of a row that float() refuses."""
+    for j, v in enumerate(parts[1:], start=2):
+        try:
+            float(v)
+        except ValueError:
+            cell = v.strip()
+            if not cell:
+                return f"empty cell in column {j}"
+            return f"non-numeric cell {cell!r} in column {j}"

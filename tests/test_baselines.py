@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -97,6 +98,19 @@ def test_universal_portfolio_refinement_stability():
     k1 = universal_portfolio(UniversalPortfolioConfig(M=50), path)[-1]
     k2 = universal_portfolio(UniversalPortfolioConfig(M=100), path)[-1]
     assert abs(math.log(k2) - math.log(k1)) < math.log(2.0)
+
+
+def test_universal_portfolio_working_memory():
+    # one (N, M) array: the growth factors, turned into capitals in place
+    N, M = 2_000, 100
+    path = np.random.default_rng(9).uniform(-0.8, 0.8, size=(N, 1))
+    tracemalloc.start()
+    try:
+        universal_portfolio(UniversalPortfolioConfig(M=M, include_training=True), path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * N * M * 8
 
 
 def test_universal_portfolio_rejects_multidim():

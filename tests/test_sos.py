@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from gtpbet import (
     sos_run,
 )
 from gtpbet.domain import LEDGER_COLUMNS
-from gtpbet.optimizer import _newton_rows, _outer_rows
+from gtpbet.optimizer import _mask_beyond, _newton_rows, _outer_rows
 from gtpbet.sos import _BLOCK
 from conftest import corner_game, unit_box_game
 
@@ -422,6 +423,188 @@ def test_newton_rows_per_row_starts_and_fallback():
     # a row started at its own optimum takes no step
     assert np.all(its[[0, 2, 3, 6, 8]] == 0)
     assert np.all(its[[1, 4, 5, 7]] > 0)
+
+
+def reference_newton_rows(X, P, ends, start, tol, max_iter):
+    """_newton_rows with per-row gathers: each line-search trial takes
+    only the rows still searching, in fresh arrays, and tests positivity
+    on the residuals themselves.  Returns _newton_rows' five results and
+    each row's count of line-search trials."""
+    B, d = len(ends), X.shape[1]
+    alpha = np.array(np.broadcast_to(start, (B, d)), dtype=float)
+    R = _mask_beyond(1.0 + alpha @ X.T, ends, 1.0)
+    bad = ~np.all(R > 0.0, axis=1)
+    if np.any(bad):
+        alpha[bad] = 0.0
+        R[bad] = 1.0
+    phi = np.sum(np.log(R), axis=1)
+    W = _mask_beyond(1.0 / R, ends, 0.0)
+    grad = W @ X
+    gnorm = np.linalg.norm(grad, axis=1)
+    its = np.zeros(B, dtype=int)
+    trials = np.zeros(B, dtype=int)
+    for it in range(max_iter + 1):
+        active = gnorm > tol
+        if not np.any(active):
+            break
+        if it == max_iter:
+            i = int(np.argmax(active))
+            raise SolverError(
+                f"no convergence in {max_iter} iterations (|grad| = {gnorm[i]:.3e})",
+                alpha[i],
+                gnorm[i],
+                i,
+            )
+        hess = ((W * W) @ P).reshape(B, d, d)
+        step = np.linalg.solve(hess, grad[:, :, None])[:, :, 0]
+        dR = _mask_beyond(step @ X.T, ends, 0.0)
+        t = -0.9 / np.minimum((dR / R).min(axis=1), -0.9)
+        slope = np.sum(grad * step, axis=1)
+        full = slope <= 1e-13 * np.maximum(1.0, np.abs(phi))
+        t[full] = 1.0
+        rows = np.flatnonzero(active)
+        while rows.size:
+            trials[rows] += 1
+            R_new = R[rows] + t[rows, None] * dR[rows]
+            with np.errstate(invalid="ignore", divide="ignore"):
+                phi_new = np.sum(np.log(R_new), axis=1)
+            ok = np.all(R_new > 0.0, axis=1) & (
+                full[rows] | (phi_new >= phi[rows] + 1e-4 * t[rows] * slope[rows])
+            )
+            took = rows[ok]
+            alpha[took] = alpha[took] + t[took, None] * step[took]
+            R[took] = R_new[ok]
+            phi[took] = phi_new[ok]
+            rows = rows[~ok]
+            t[rows] *= 0.5
+            failed = rows[t[rows] <= 1e-18]
+            if failed.size:
+                i = int(failed[0])
+                raise SolverError("line search failed", alpha[i], gnorm[i], i)
+        W = _mask_beyond(1.0 / R, ends, 0.0)
+        grad = W @ X
+        gnorm = np.linalg.norm(grad, axis=1)
+        its[active] += 1
+    hess = ((W * W) @ P).reshape(B, d, d)
+    return (alpha, phi, gnorm, hess, its), trials
+
+
+def newton_rows_both(X, ends, start, tol=1e-10, max_iter=200):
+    """_newton_rows and its per-row reference on one block: asserts that
+    alpha, phi, the gradient norms, the Hessians and the iteration counts
+    are equal bit for bit, and returns the reference's trial counts and
+    iteration counts."""
+    P = _outer_rows(X)
+    want, trials = reference_newton_rows(X, P, ends, start, tol, max_iter)
+    got = _newton_rows(X, P, ends, start, tol, max_iter)
+    for name, w, g in zip(("alpha", "phi", "gnorm", "hess", "its"), want, got):
+        assert np.array_equal(w, g), name
+    return trials, want[4]
+
+
+def starts_toward_the_edge(X, ends, rng, lo=0.5, hi=0.95):
+    """One start per row: a random fraction in [lo, hi) of the way from
+    the origin to the edge of the row's feasible set, in a random
+    direction."""
+    B, d = len(ends), X.shape[1]
+    u = rng.standard_normal((B, d))
+    reach = np.array([1.0 / np.max(-(X[:m] @ v)) for m, v in zip(ends, u)])
+    return (rng.uniform(lo, hi, size=B) * reach)[:, None] * u
+
+
+def drifting_history(d, n, seed):
+    """Corner training, then n outcomes of drift 0.5 clipped to the box."""
+    rng = np.random.default_rng(seed)
+    path = np.clip(rng.uniform(-0.8, 0.8, size=(n, d)) + 0.5, -1.0, 1.0)
+    return np.concatenate([corner_game(d).training.points, path]), rng
+
+
+def test_newton_rows_backtracking_matches_per_row_reference():
+    # the imaginary path x_n = 1/(n + 1), every row starting from its own
+    # point of (-1, 1): the rows that start far out backtrack once
+    train = corner_game(1).training.points
+    X = np.concatenate([train, (1.0 / (np.arange(1, 301) + 1.0))[:, None]])
+    ends = np.repeat([len(train) + 50, len(train) + 200, len(X)], 11)
+    start = np.tile(np.linspace(-0.9, 0.9, 11), 3)[:, None]
+    trials, its = newton_rows_both(X, ends, start)
+    assert 0 < np.sum(trials > its) < len(ends)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_newton_rows_edge_starts_match_per_row_reference(d):
+    X, rng = drifting_history(d, 300, 71)
+    n0 = corner_game(d).training.n0
+    ends = rng.integers(n0 + 1, len(X) + 1, size=32)
+    trials, its = newton_rows_both(X, ends, starts_toward_the_edge(X, ends, rng))
+    assert 0 < np.sum(trials > its) < len(ends)
+
+
+def mixed_start_block(d):
+    """A block of 16 rows whose starts are: the row's own optimum (rows
+    0, 5), infeasible for the row's own history (rows 2, 9), NaN (rows 3,
+    12) and, elsewhere, toward the edge of the feasible set."""
+    X, rng = drifting_history(d, 80, 90 + d)
+    n0 = corner_game(d).training.n0
+    ends = np.sort(rng.integers(n0 + 1, len(X) + 1, size=16))
+    start = starts_toward_the_edge(X, ends, rng)
+    (alpha, *_), _ = reference_newton_rows(X, _outer_rows(X), ends, start, 1e-10, 200)
+    start[[0, 5]] = alpha[[0, 5]]
+    for b in (2, 9):  # 1 + alpha.x = -1 at the row's own last outcome
+        x = X[ends[b] - 1]
+        start[b] = -2.0 * x / (x @ x)
+    start[[3, 12]] = np.nan
+    return X, ends, start
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_newton_rows_mixed_starts_match_per_row_reference(d):
+    X, ends, start = mixed_start_block(d)
+    trials, its = newton_rows_both(X, ends, start)
+    assert np.all(its[[0, 5]] == 0)
+    assert np.all(its[[2, 3, 9, 12]] > 0)
+    assert np.any(trials > its)
+
+
+@pytest.mark.parametrize("max_iter", [1, 2])
+def test_newton_rows_iteration_cap_matches_per_row_reference(max_iter):
+    X, ends, start = mixed_start_block(2)
+    P = _outer_rows(X)
+    with pytest.raises(SolverError) as want:
+        reference_newton_rows(X, P, ends, start, 1e-10, max_iter)
+    with pytest.raises(SolverError) as got:
+        _newton_rows(X, P, ends, start, 1e-10, max_iter)
+    assert want.value.row == got.value.row > 0
+    assert str(got.value) == str(want.value)
+    assert np.array_equal(got.value.alpha, want.value.alpha)
+    assert got.value.grad_norm == want.value.grad_norm
+
+
+def test_newton_rows_working_memory():
+    # the call's (B x m) arrays are four work arrays, reused by every
+    # iteration and line-search trial
+    B, m = 16, 2008
+    X, rng = drifting_history(2, m - 4, 3)
+    P = _outer_rows(X)
+    ends = np.arange(m - B + 1, m + 1)
+    start = starts_toward_the_edge(X, ends, rng, 0.0, 0.5)
+    tracemalloc.start()
+    try:
+        _newton_rows(X, P, ends, start, 1e-10, 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * B * m * 8
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_exact_run_keeps_rejected_trials_quiet():
+    # on this path one predicted start is infeasible for its round's
+    # history and one row backtracks; neither may leak a RuntimeWarning
+    dom = Domain.box([-0.01], [1.0])
+    game = GameConfig(domain=dom, training=make_training(dom, 0.1, "corners_2tod"))
+    path = np.random.default_rng(0).uniform(-0.01, 1.0, size=(120, 1))
+    res = sos_run(game, path)
+    assert np.all(np.isfinite(res.ledger.logK_true))
 
 
 def test_solver_failure_keeps_its_type_and_names_the_round():

@@ -82,6 +82,30 @@ def test_read_price_csv(tmp_path):
         read_price_csv(empty)
 
 
+@pytest.mark.parametrize(
+    "row, cause",
+    [
+        ("2020-01-03,102,48,7", "line 4: 4 columns where the header has 3"),
+        ("2020-01-03,102", "line 4: 2 columns where the header has 3"),
+        ("2020-01-03,102,x", "line 4: non-numeric cell 'x' in column 3"),
+        ("2020-01-03,1e,48", "line 4: non-numeric cell '1e' in column 2"),
+        ("2020-01-03,,48", "line 4: empty cell in column 2"),
+    ],
+)
+def test_bad_price_row_names_its_line(tmp_path, row, cause):
+    f = tmp_path / "prices.csv"
+    f.write_text(f"date,A,B\n2020-01-01,100,50\n\n{row}\n2020-01-04,101,49\n")
+    with pytest.raises(ValueError, match=f"^{cause}$"):
+        read_price_csv(f)
+
+
+def test_price_header_without_price_column(tmp_path):
+    f = tmp_path / "prices.csv"
+    f.write_text("date\n2020-01-01\n")
+    with pytest.raises(ValueError, match="^line 1: the header names no price column$"):
+        read_price_csv(f)
+
+
 def test_non_finite_price_names_row():
     prices = np.array([100.0, 101.0, np.nan, 102.0, 103.0])
     with pytest.raises(ValueError, match="non-finite price at row 2"):
