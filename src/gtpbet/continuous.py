@@ -18,6 +18,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .domain import Domain, GameConfig, InvariantError, as_prices, make_training
 from .sos import sos_capital_fast
+from .transform import _read_csv
 
 __all__ = [
     "PricePath",
@@ -68,8 +69,10 @@ class PricePath:
 
     @classmethod
     def from_csv(cls, path) -> "PricePath":
-        data = np.genfromtxt(path, delimiter=",", skip_header=1)
-        data = np.atleast_2d(data)
+        """The path that to_csv wrote: a header row, then a time and the
+        prices on each line.  A malformed line raises ValueError naming it
+        and the cause, as in read_price_csv."""
+        data = _read_csv(path, 0)
         return cls(times=data[:, 0], values=data[:, 1:])
 
 
@@ -96,10 +99,7 @@ class Embedding:
 _MAX_BLOCK = 1 << 16  # longest window a chain reads in one step
 _PILOT = 16  # stops the first chain finds alone, to measure the gap
 _SEGMENT = 256  # stops per segment that the chain count aims at
-_MAX_CHAINS = 1024
-_HEAD = 512  # steps of each chain that a predecessor may merge into
-_CHECK = 4  # steps between merge checks
-_MERGED, _RETIRED = 1, 2
+_MAX_CHAINS = 1024  # chain ids must fit the scan's int16 owner map
 
 
 def _scan_crossings(S, d2):
@@ -117,18 +117,17 @@ def _scan_crossings(S, d2):
     window of about one gap, read from a strided view of the path, with
     one set of (chains x window) array operations; a window holds at most
     one new stop.  When no chain finds a stop, the window doubles, up to
-    _MAX_BLOCK.  A chain whose anchor is a stop that its successor held in
-    its first _HEAD steps merges into it: the chain stops, and its scan
-    goes on as the successor's.  A chain that passes the last of those
-    stops, or the stop where its successor merged, without merging looks
-    for a merge in the chain ahead of that one instead.  A successor passed
-    unmerged is retired, and the chain scans on through its segment; this
-    bounds the work that a path whose scans never meet (a smooth one) can
-    waste.  The stops are the first chain's, followed through the merges.
-    With one chain this is the plain greedy scan, one window at a time.
+    _MAX_BLOCK.  A map over the grid names the chain that owns each index:
+    the one that started there or first landed on it.  A chain that lands
+    on an index another chain owns merges into it: the chain stops, and
+    its scan goes on as the owner's.  The lineage is the first chain,
+    followed through its merges, and its stops are the scan's.  Any other
+    chain pauses once its anchor passes the start of the segment after
+    next, and resumes if the lineage merges into it; this bounds the work
+    that a path whose scans never meet (a smooth one) can waste.  With one
+    chain this is the plain greedy scan, one window at a time.
     """
     K = S.shape[0] - 1
-    K2 = K + 2  # (chain c, index i) is encoded as c * K2 + i
     cols = [S[:, c] for c in range(S.shape[1])]
     views = {}
 
@@ -141,28 +140,21 @@ def _scan_crossings(S, d2):
             ]
         return views[B]
 
-    def chains(M):
-        # per chain id, with row M standing for "no successor": state,
-        # successor (the target of a live chain, the chain a merged one
-        # joined), the last index a predecessor may merge at, and the
-        # encoded anchors of the first _HEAD steps (K + 1 when unfilled)
-        succ = np.arange(1, M + 2)
-        succ[M] = M
-        head = np.arange(M + 1)[:, None] * K2 + np.full(_HEAD, K + 1)
-        return np.zeros(M + 1, np.int8), succ, np.full(M + 1, K + 1), head.ravel()
-
-    M = 1
-    state, succ, end, head = chains(M)
-    ids = np.zeros(1, np.int64)  # the active chains, in path order
+    owner = np.zeros(K + 1, np.int16)  # the chain that owns each index, 0 for none
+    owner[0] = 1
+    ids = np.ones(1, np.int64)  # the active chains, numbered from 1
     a = np.zeros(1, np.int64)  # their anchors, the last stop of each
     p = np.ones(1, np.int64)  # the next index each reads
-    tg = succ[ids]
-    row, code, total = ids * _HEAD, ids * K2, 0
+    # per chain: the index past which it pauses (never, for the lineage),
+    # the chain it merged into (0 for none), and where it halted
+    lim = np.full(2, K + 1)
+    into, held_a, held_p = np.zeros((3, 2), np.int64)
+    line, M, total = 1, 1, 0
     rec_ids, rec_a = [ids], [a]  # every chain's anchor after every step
-    gap, streak, hits, step, pmax = 16.0, 0, 0, 0, 1
+    gap, streak, hits, pmax = 16.0, 0, 0, 1
     pilot = True
     hit_buf = np.ones((0, 0), bool)
-    while ids.size and K > 0:
+    while K > 0:
         B = int(gap) + 16
         e = max(B.bit_length() - 3, 0)
         B = min(((B >> e) + 1) << e << streak, _MAX_BLOCK, K)  # 4 sizes an octave
@@ -201,55 +193,48 @@ def _scan_crossings(S, d2):
         pmax += B
         rec_ids.append(ids)
         rec_a.append(a)
-        drop = None
+        # an index is owned by the first chain to land on it; of chains that
+        # land on a free one together any may own it, as they go on alike
+        o = owner[a]
+        owner[a] = np.where(o == 0, ids, o)
+        o = owner[a]
+        merged = o != ids
+        drop = merged | (a > lim[ids])
         if near:
             pmax = int(p.max())
-            drop = p > K  # no crossing before the horizon
-        if step < _HEAD:
-            head[row + step] = code + a
-            if step == _HEAD - 1:
-                end[ids] = np.minimum(end[ids], a)
-        if step % _CHECK == _CHECK - 1:
-            q = tg * K2 + a
-            merged = head[head.searchsorted(q)] == q
-            if merged.any():
-                joined = ids[merged]
-                state[joined] = _MERGED
-                succ[joined] = tg[merged]
-                end[joined] = np.minimum(end[joined], a[merged])
-                drop = merged if drop is None else drop | merged
-            leave = (a > end[tg]) & ~merged
-            if leave.any():
-                left = tg[leave]
-                state[left[state[left] != _MERGED]] = _RETIRED
-                tg[leave] = succ[left]
-                bad = state[tg] == _RETIRED
-                while bad.any():
-                    tg[bad] = succ[tg[bad]]
-                    bad = state[tg] == _RETIRED
-                succ[ids] = tg
-                gone = state[ids] == _RETIRED
-                drop = gone if drop is None else drop | gone
-        if drop is not None and drop.any():
+            drop |= p > K  # no crossing before the horizon
+        if drop.any():
+            into[ids[merged]] = o[merged]
+            halt = drop & ~merged
+            held_a[ids[halt]], held_p[ids[halt]] = a[halt], p[halt]
             keep = ~drop
-            ids, a, p, tg = ids[keep], a[keep], p[keep], tg[keep]
-            row, code, total = ids * _HEAD, ids * K2, int(a.sum())
-        step += 1
-        if pilot and hits >= _PILOT and ids.size:
+            ids, a, p = ids[keep], a[keep], p[keep]
+            while into[line]:
+                line = into[line]
+            lim[line] = K + 1
+            if not (ids == line).any():
+                if held_p[line] > K:
+                    break  # the lineage reached the horizon
+                ids = np.append(ids, line)
+                a = np.append(a, held_a[line])
+                p = np.append(p, held_p[line])
+                pmax = max(pmax, int(held_p[line]))
+            total = int(a.sum())
+        if pilot and hits >= _PILOT:
             pilot = False
             a0 = int(a[0])
             M = max(int(min((K - a0) / (gap * _SEGMENT), _MAX_CHAINS, K - a0)), 1)
             if M > 1:
-                state, succ, end, head = chains(M)
-                ids = np.arange(M)
-                a = a0 + (K - a0) * ids // M
+                ids = np.arange(1, M + 1)
+                a = a0 + (K - a0) * (ids - 1) // M
                 p = a + 1
-                tg = succ[ids]
-                row, code, total = ids * _HEAD, ids * K2, int(a.sum())
-                pmax = int(p[-1])
+                owner[a] = ids
+                lim = np.full(M + 1, K + 1)
+                lim[2:-2] = a[3:]  # chain c starts at a[c - 1], pauses past a[c + 1]
+                into, held_a, held_p = np.zeros((3, M + 1), np.int64)
+                total, pmax = int(a.sum()), int(p[-1])
                 rec_ids.append(ids)
                 rec_a.append(a)
-                step = 0
     # each chain's records in step order; a step without a stop repeats one
     rid = np.concatenate(rec_ids)
     order = np.argsort(rid, kind="stable")
@@ -257,16 +242,14 @@ def _scan_crossings(S, d2):
     new = np.ones(rid.size, bool)
     new[1:] = (rid[1:] != rid[:-1]) | (ra[1:] != ra[:-1])
     rid, ra = rid[new], ra[new]
-    first = np.searchsorted(rid, np.arange(M + 1))
-    pieces, c, after = [], 0, 0
+    first = np.searchsorted(rid, np.arange(M + 2))
+    pieces, c, after = [], 1, 0
     while True:
         mine = ra[first[c] : first[c + 1]]
         pieces.append(mine[np.searchsorted(mine, after, side="right") :])
-        if state[c] != _MERGED:
+        if not into[c]:
             break
-        after, c = mine[-1], succ[c]
-    if state[c] == _RETIRED:
-        raise InvariantError(f"crossing scan followed retired chain {c}")
+        after, c = mine[-1], into[c]
     stops = np.concatenate(pieces)
     # every chain's first record is its start, not a stop it computed
     return stops, rid.size - M - stops.size
@@ -278,8 +261,10 @@ def embed(path: PricePath, delta: float) -> Embedding:
     The stop after grid index i is the first index j where the return
     since i reaches norm delta, sum((S_j/S_i - 1)**2) >= delta * delta.
     The scan runs as chains in lockstep, one from the start of each
-    segment of the path, spliced where they merge (see _scan_crossings);
-    the stops are those of one scan from index 0, bit for bit.
+    segment of the path; a chain that lands on an index another chain
+    reached merges into it, and the stops are spliced from the first
+    chain's merges (see _scan_crossings).  They are those of one scan
+    from index 0, bit for bit.
     A single grid step whose return norm exceeds 2 delta means the
     sampling grid is too coarse to localize the crossing and raises
     ValueError.
@@ -456,15 +441,15 @@ def gen_fbm(hurst, scale, T, grid_step, seed, s0=1.0, d=1, dtype=np.float64) -> 
     return PricePath(times=np.linspace(0.0, T, K + 1), values=paths)
 
 
-_DEFAULT_DELTAS = (0.02, 0.01, 0.005, 0.0025)
+_EPSILON0 = 0.1  # interiority margin of the embedded games' training
 
 
-def _run_embedded_sos(emb: Embedding, epsilon0: float = 0.1):
+def _run_embedded_sos(emb: Embedding):
     """Fast sequential strategy over an embedding.  Returns the final log
     capital, including the residual period from the last stop to the
     horizon, and the final unclipped V^{-1} s (zero when nothing stopped)."""
     d = emb.outcomes.shape[1]
-    training = game_config_for_embedding(emb.delta, d, epsilon0).training.points
+    training = game_config_for_embedding(emb.delta, d).training.points
     bound = 1.0 / training.max()
     logK = float(np.sum(sos_capital_fast(emb.outcomes, training, bound)))
     if not emb.N:
@@ -477,7 +462,7 @@ def _run_embedded_sos(emb: Embedding, epsilon0: float = 0.1):
     return logK, alpha
 
 
-def holder_experiment(path: PricePath, delta_grid=_DEFAULT_DELTAS, epsilon0=0.1):
+def holder_experiment(path: PricePath, delta_grid):
     """Capital and quadratic variation across a grid of crossing radii.
 
     Returns a list of dicts {delta, N, trV_N, logK, delta_alpha_norm} plus
@@ -487,7 +472,7 @@ def holder_experiment(path: PricePath, delta_grid=_DEFAULT_DELTAS, epsilon0=0.1)
     rows = []
     for delta in delta_grid:
         emb = embed(path, delta)
-        logK, alpha = _run_embedded_sos(emb, epsilon0)
+        logK, alpha = _run_embedded_sos(emb)
         rows.append(
             {
                 "delta": delta,
@@ -510,21 +495,19 @@ def holder_experiment(path: PricePath, delta_grid=_DEFAULT_DELTAS, epsilon0=0.1)
     return rows, hs
 
 
-def girsanov_rate_experiment(
-    mu, sigma, T, delta, seed, grid_step=None, epsilon0=0.1
-):
+def girsanov_rate_experiment(mu, sigma, T, delta, seed):
     """Simulated growth rate of the embedded strategy under GBM vs the
-    analytic target 0.5 mu' (sigma sigma')^{-1} mu."""
+    analytic target 0.5 mu' (sigma sigma')^{-1} mu.  The grid step is
+    (delta / (5 max_i |sigma_i|))^2, so a one-step return is about a fifth
+    of delta."""
     from .baselines import kelly_gbm_rate
 
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
-    if grid_step is None:
-        smax = float(np.max(np.linalg.norm(sigma, axis=1)))
-        grid_step = (delta / (5.0 * smax)) ** 2
-    path = gen_gbm(mu, sigma, T, grid_step, seed)
+    smax = float(np.max(np.linalg.norm(sigma, axis=1)))
+    path = gen_gbm(mu, sigma, T, (delta / (5.0 * smax)) ** 2, seed)
     emb = embed(path, delta)
-    logK, _ = _run_embedded_sos(emb, epsilon0)
+    logK, _ = _run_embedded_sos(emb)
     return {
         "logK_over_T": logK / T,
         "target": kelly_gbm_rate(mu, sigma),
@@ -533,7 +516,7 @@ def girsanov_rate_experiment(
     }
 
 
-def game_config_for_embedding(delta: float, d: int, epsilon0: float = 0.1) -> GameConfig:
+def game_config_for_embedding(delta: float, d: int) -> GameConfig:
     """Axis-training game over the sphere of radius delta."""
     dom = Domain.sphere(d, delta)
-    return GameConfig(domain=dom, training=make_training(dom, epsilon0, "axis_2d"))
+    return GameConfig(domain=dom, training=make_training(dom, _EPSILON0, "axis_2d"))

@@ -194,6 +194,9 @@ def _newton_rows(X, P, ends, start, tol, max_iter):
             W += R
             with np.errstate(invalid="ignore", divide="ignore"):
                 phi_new = np.log(W, out=S).sum(axis=1)
+            # a capped trial keeps every residual >= 0.1 of itself, and as
+            # slope = sum((dR/R)**2) a full one moves each by at most
+            # sqrt(slope) of itself: phi_new is non-finite only if |phi| >= 1e13
             ok = searching & np.isfinite(phi_new) & (
                 full | (phi_new >= phi + 1e-4 * t * slope)
             )

@@ -75,6 +75,12 @@ def read_price_csv(path) -> np.ndarray:
     (ignored), columns 2..d+1 are prices.  A row whose column count is not
     the header's, or with a price cell that is empty or not a number,
     raises ValueError naming its line in the file."""
+    return _read_csv(path, 1)
+
+
+def _read_csv(path, first) -> np.ndarray:
+    """The numbers in columns first+1.. (from 1) of a CSV with a header
+    row, one array row per line; see read_price_csv for the errors."""
     rows = []
     with open(path) as fh:
         header = fh.readline()
@@ -92,17 +98,18 @@ def read_price_csv(path) -> np.ndarray:
                     f"line {lineno}: {len(parts)} columns where the header has {width}"
                 )
             try:  # float() ignores the whitespace around a cell
-                rows.append(list(map(float, parts[1:])))
+                rows.append(list(map(float, parts[first:])))
             except ValueError:
-                raise ValueError(f"line {lineno}: {_bad_cell(parts)}") from None
+                raise ValueError(f"line {lineno}: {_bad_cell(parts, first)}") from None
     if not rows:
         raise ValueError("no price rows found")
     return np.asarray(rows, dtype=float)
 
 
-def _bad_cell(parts) -> str:
-    """The cause for the first price cell of a row that float() refuses."""
-    for j, v in enumerate(parts[1:], start=2):
+def _bad_cell(parts, first) -> str:
+    """The cause for the first cell from column first+1 on (from 1) of a
+    row that float() refuses."""
+    for j, v in enumerate(parts[first:], start=first + 1):
         try:
             float(v)
         except ValueError:

@@ -186,9 +186,9 @@ def test_lockstep_scan_with_more_chains_than_grid_steps(monkeypatch):
 
 def test_lockstep_scan_follows_a_successor_past_its_merge(monkeypatch):
     # with segments of 16 stops a chain often meets the scan ahead only
-    # after its successor has merged on; it must then look for the merge in
-    # the chain its successor joined, not scan on alone to the horizon,
-    # which computes some 30 times the stops kept
+    # after the chain after it has merged on; it then lands on stops of a
+    # chain further ahead and must merge there, not scan on alone to the
+    # horizon, which computes some 30 times the stops kept
     _many_chains(monkeypatch, 16)
     values = gen_fbm(0.3, 0.16, 1.0, 2.0**-20, 2).values
     stops, discarded = continuous._scan_crossings(values, 0.01**2)
@@ -196,10 +196,40 @@ def test_lockstep_scan_follows_a_successor_past_its_merge(monkeypatch):
     assert _definition_stops(values, 0.01, stops) == stops.tolist()
 
 
+def test_lockstep_scan_merges_into_any_chain_at_a_coarse_delta(monkeypatch):
+    # at delta = 0.02 a 16-stop segment is short of the merge length, so a
+    # chain first lands on stops of a chain several segments ahead; merging
+    # only into the next chain discarded 12 times the stops kept
+    _many_chains(monkeypatch, 16)
+    values = gen_fbm(0.3, 0.16, 1.0, 2.0**-20, 2).values
+    stops, discarded = continuous._scan_crossings(values, 0.02**2)
+    assert _definition_stops(values, 0.02, stops) == stops.tolist()
+    assert discarded <= 3 * stops.size
+
+
+def test_lockstep_scan_resumes_the_paused_chain_that_the_first_joins(monkeypatch):
+    # exp(t), whose scans never meet, with one upward step of 1.5 delta in
+    # the middle that every scan reaching it stops at.  The chain started
+    # last before the step lands on it first and pauses two segments later,
+    # long before the first chain arrives; the first chain's scan then goes
+    # on as the paused chain's, which must resume to reach the horizon
+    _many_chains(monkeypatch, 16)
+    delta = 1e-3
+    K = 2**17
+    log_path = np.linspace(0.0, 1.0, K + 1)
+    log_path[K // 2 :] += math.log1p(1.5 * delta)
+    values = np.exp(log_path)[:, None]
+    stops, discarded = continuous._scan_crossings(values, delta * delta)
+    assert K // 2 in stops.tolist()
+    assert stops[-1] > K - 2 * K // stops.size
+    assert _definition_stops(values, delta, stops) == stops.tolist()
+    assert discarded <= 3 * stops.size
+
+
 def test_lockstep_scan_bounds_the_waste_on_a_smooth_path():
     # scans of exp(t) from different starts never meet, so every chain but
-    # the first is retired by its predecessor; without that rule the chains
-    # computed 27 times the 9,986 stops kept
+    # the first pauses two segments after its start; without that rule the
+    # chains computed 27 times the 9,986 stops kept
     t = np.linspace(0.0, 1.0, 2**20 + 1)
     values = np.exp(t)[:, None]
     delta = 1e-4
@@ -477,6 +507,30 @@ def test_price_path_csv_roundtrip(tmp_path):
     q = PricePath.from_csv(f)
     np.testing.assert_allclose(q.values, p.values, rtol=1e-15)
     np.testing.assert_allclose(q.times, p.times, rtol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "row, cause",
+    [
+        ("0.2,", "line 3: empty cell in column 2"),
+        ("0.2,x", "line 3: non-numeric cell 'x' in column 2"),
+        (",1.1", "line 3: empty cell in column 1"),
+        ("0.2", "line 3: 1 columns where the header has 2"),
+        ("0.2,1.1,1.2", "line 3: 3 columns where the header has 2"),
+    ],
+)
+def test_price_path_csv_names_a_bad_line(tmp_path, row, cause):
+    f = tmp_path / "path.csv"
+    f.write_text(f"time,S1\n0.1,1.0\n{row}\n0.3,1.2\n")
+    with pytest.raises(ValueError, match=f"^{cause}$"):
+        PricePath.from_csv(f)
+
+
+def test_price_path_csv_needs_a_row(tmp_path):
+    f = tmp_path / "path.csv"
+    f.write_text("time,S1\n")
+    with pytest.raises(ValueError, match="^no price rows found$"):
+        PricePath.from_csv(f)
 
 
 def test_price_path_validation():

@@ -123,15 +123,14 @@ def test_embedding_lies_on_the_sphere_and_compounds(seed, d, delta, vol):
     n=st.integers(1, 3000),
     delta=st.floats(0.003, 0.03),
     segment=st.sampled_from([0.05, 1.0, 8.0]),
-    head=st.sampled_from([2, 8, 512]),
     flat=st.booleans(),
 )
 def test_lockstep_scan_equals_the_definition_with_many_chains(
-    seed, d, n, delta, segment, head, flat
+    seed, d, n, delta, segment, flat
 ):
     # a segment of a few stops or less puts a chain start every few grid
-    # points, so the stops are spliced from many chains and merges; a head
-    # of a few steps makes chains retire their successors often
+    # points, so the stops are spliced from many chains and merges, and
+    # chains pause and resume often
     rng = np.random.default_rng(seed)
     steps = 0.004 / np.sqrt(d) * rng.standard_normal((n, d))
     if flat:
@@ -140,7 +139,6 @@ def test_lockstep_scan_equals_the_definition_with_many_chains(
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(continuous, "_PILOT", 1)
         mp.setattr(continuous, "_SEGMENT", segment)
-        mp.setattr(continuous, "_HEAD", head)
         stops, discarded = continuous._scan_crossings(values, delta * delta)
     assert stops.tolist() == reference_stops(values, delta)
     assert discarded >= 0
