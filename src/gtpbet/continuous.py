@@ -70,8 +70,9 @@ class PricePath:
     @classmethod
     def from_csv(cls, path) -> "PricePath":
         """The path that to_csv wrote: a header row, then a time and the
-        prices on each line.  A malformed line raises ValueError naming it
-        and the cause, as in read_price_csv."""
+        prices on each line.  A malformed line, or one whose time is not
+        after the previous line's, raises ValueError naming it and the
+        cause, as in read_price_csv."""
         data = _read_csv(path, 0)
         return cls(times=data[:, 0], values=data[:, 1:])
 

@@ -29,8 +29,8 @@ __all__ = [
 
 
 class SolverError(RuntimeError):
-    """Iteration cap exceeded or line search failed; carries the best
-    iterate found and, in a batched solve, the index of its row."""
+    """Iteration cap exceeded; carries the last iterate and, in a
+    batched solve, the index of its row."""
 
     def __init__(self, msg, alpha, grad_norm, row=0):
         super().__init__(msg)
@@ -75,14 +75,16 @@ def solve_phi(
     tol: float = 1e-10,
     max_iter: int = 200,
 ) -> PhiSolution:
-    """Damped Newton ascent with Armijo backtracking.
+    """Damped Newton ascent by the self-concordant step rule.
 
-    The iterates never leave the open feasible set: the first trial step
-    is clipped so every residual 1 + alpha.x_n keeps at least 10% of its
-    current value, and backtracking (shrink 0.5, slope 1e-4) does the
-    rest, except that a Newton decrement at phi's rounding floor takes the
-    full step.  Terminates when the gradient norm drops to tol.  This is
-    the one-history case of the batched solve behind the exact run.
+    -phi is a sum of log barriers, so the Newton decrement
+    lam = sqrt(grad.H^-1 grad) bounds how far a step moves each residual
+    1 + alpha.x_n relative to itself.  The full step is taken while
+    lam <= 0.68 and the step 1/(1 + lam) of it otherwise; both keep the
+    iterates in the open feasible set and increase phi, with no function
+    value and no line search.  Terminates when the gradient norm drops
+    to tol.  This is the one-history case of the batched solve behind
+    the exact run.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -116,6 +118,15 @@ def _mask_beyond(M, ends, fill):
     return M
 
 
+# The largest Newton decrement at which solve_phi takes the full step.  For
+# lam < 1 the full step moves each residual by at most lam of itself and
+# gains at least lam**2 - w(lam) in phi, w(lam) = -lam - log(1 - lam); at
+# 0.68 that still clears the Armijo bound 1e-4 lam**2 (at 0.69 it does not).
+# Beyond it the step 1/(1 + lam) keeps each residual >= R / (1 + lam) and
+# gains at least lam - log(1 + lam).
+_FULL_STEP = 0.68
+
+
 def _newton_rows(X, P, ends, start, tol, max_iter):
     """solve_phi's damped Newton, run on B histories at once.
 
@@ -123,48 +134,39 @@ def _newton_rows(X, P, ends, start, tol, max_iter):
     is one point for every row, shape (d,), as solve_phi passes it, or
     one per row, shape (B, d), as the exact run passes its predicted
     optima; a row whose start is infeasible (or NaN) for its own history
-    starts from the origin instead.  Every row follows solve_phi's rules
-    on its own: the 0.9 fraction-to-boundary step, Armijo backtracking,
-    the full step at phi's rounding floor, and no further step once its
-    gradient norm is at most tol.  The products are taken over the whole
-    block, so a row's arithmetic does not depend on the other rows.  Raises
-    SolverError for the first row that fails.  Returns alpha (B, d),
-    phi (B,), gradient norms (B,), Hessians (B, d, d) and iteration
-    counts (B,).
+    starts from the origin instead.  Every row follows solve_phi's step
+    rule on its own, and takes no further step once its gradient norm is
+    at most tol.  The products are taken over the whole block, so a row's
+    arithmetic does not depend on the other rows.  Raises SolverError for
+    the first row that fails.  Returns alpha (B, d), phi (B,), gradient
+    norms (B,), Hessians (B, d, d) and iteration counts (B,).
 
-    The call allocates its four (B, m) arrays once, for m = len(X), and
-    every iteration and trial writes into them: the residuals
-    R = 1 + alpha.x, the weights 1/R (which also hold each line-search
-    trial's residuals), the step's change of R, and one scratch array.
-    Columns past a row's history hold residual 1 and weight 0.  A trial
-    is taken over the whole block, with step length 0 on the rows that
-    are not searching; those rows and the rows whose step is rejected
-    copy their old residuals into it, and it becomes R.  A trial
-    is feasible exactly where its phi is finite, since log is NaN or
-    -inf at a residual <= 0.
+    The call allocates two (B, m) arrays once, for m = len(X): the
+    residuals R = 1 + alpha.x, formed afresh from alpha after every
+    step, and the weights 1/R, which are squared in place for the
+    Hessian.  Columns past a row's history hold residual 1 and weight 0.
+    phi is formed once, from the final residuals.
     """
     B, (m, d) = len(ends), X.shape
     lo = int(ends.min())
     beyond = np.arange(lo, m) >= ends[:, None]  # of the columns from lo on
     alpha = np.array(np.broadcast_to(start, (B, d)), dtype=float)
-    R, W, dR, S = (np.empty((B, m)) for _ in range(4))
-    np.matmul(alpha, X.T, out=R)
-    R += 1.0
-    R[:, lo:][beyond] = 1.0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        phi = np.log(R, out=S).sum(axis=1)
-    bad = ~np.isfinite(phi)
-    if np.any(bad):  # infeasible start; the origin is always feasible
-        alpha[bad] = 0.0
-        R[bad] = 1.0
-        phi[bad] = 0.0
-    np.divide(1.0, R, out=W)
-    W[:, lo:][beyond] = 0.0
-    grad = W @ X
-    gnorm = np.linalg.norm(grad, axis=1)
+    R, W = np.empty((B, m)), np.empty((B, m))
     its = np.zeros(B, dtype=int)
     for it in range(max_iter + 1):
-        active = gnorm > tol
+        np.matmul(alpha, X.T, out=R)
+        R += 1.0
+        R[:, lo:][beyond] = 1.0
+        if it == 0:  # the min is NaN, and not > 0, for a NaN start
+            bad = ~(R.min(axis=1) > 0.0)
+            if np.any(bad):  # infeasible start; the origin is always feasible
+                alpha[bad] = 0.0
+                R[bad] = 1.0
+        np.divide(1.0, R, out=W)
+        W[:, lo:][beyond] = 0.0
+        grad = W @ X
+        gnorm = np.linalg.norm(grad, axis=1)
+        active = ~(gnorm <= tol)  # a NaN row runs on to the iteration cap
         if not np.any(active):
             break
         if it == max_iter:
@@ -175,49 +177,17 @@ def _newton_rows(X, P, ends, start, tol, max_iter):
                 gnorm[i],
                 i,
             )
-        hess = (np.multiply(W, W, out=S) @ P).reshape(B, d, d)
+        hess = (np.multiply(W, W, out=W) @ P).reshape(B, d, d)
         step = np.linalg.solve(hess, grad[:, :, None])[:, :, 0]
-        np.matmul(step, X.T, out=dR)
-        dR[:, lo:][beyond] = 0.0
-        # keep every residual >= 0.1 of its current value: t <= -0.9 r / dr
-        # wherever dr < 0, and t <= 1
-        t = -0.9 / np.minimum(np.divide(dR, R, out=S).min(axis=1), -0.9)
-        slope = np.sum(grad * step, axis=1)
-        # once the Newton decrement is at phi's rounding floor, Armijo would
-        # compare values that differ only by rounding; phi is self-concordant,
-        # so the full Newton step is the right one there
-        full = slope <= 1e-13 * np.maximum(1.0, np.abs(phi))
-        t[full] = 1.0
-        searching = active
-        while True:
-            np.multiply(dR, np.where(searching, t, 0.0)[:, None], out=W)
-            W += R
-            with np.errstate(invalid="ignore", divide="ignore"):
-                phi_new = np.log(W, out=S).sum(axis=1)
-            # a capped trial keeps every residual >= 0.1 of itself, and as
-            # slope = sum((dR/R)**2) a full one moves each by at most
-            # sqrt(slope) of itself: phi_new is non-finite only if |phi| >= 1e13
-            ok = searching & np.isfinite(phi_new) & (
-                full | (phi_new >= phi + 1e-4 * t * slope)
-            )
-            alpha[ok] += t[ok, None] * step[ok]
-            phi[ok] = phi_new[ok]
-            np.copyto(W, R, where=~ok[:, None])
-            R, W = W, R
-            searching = searching & ~ok
-            if not np.any(searching):
-                break
-            t[searching] *= 0.5
-            failed = np.flatnonzero(searching & (t <= 1e-18))
-            if failed.size:
-                i = int(failed[0])
-                raise SolverError("line search failed", alpha[i], gnorm[i], i)
-        np.divide(1.0, R, out=W)
-        W[:, lo:][beyond] = 0.0
-        grad = W @ X
-        gnorm = np.linalg.norm(grad, axis=1)
+        # lam**2 = grad.step = sum((step.x / R)**2), which rounding can
+        # leave just below 0 at the optimum
+        lam = np.sqrt(np.maximum(np.sum(grad * step, axis=1), 0.0))
+        t = np.where(lam <= _FULL_STEP, 1.0, 1.0 / (1.0 + lam))
+        t[~active] = 0.0
+        alpha += t[:, None] * step
         its[active] += 1
-    hess = (np.multiply(W, W, out=S) @ P).reshape(B, d, d)
+    hess = (np.multiply(W, W, out=W) @ P).reshape(B, d, d)
+    phi = np.log(R, out=W).sum(axis=1)
     return alpha, phi, gnorm, hess, its
 
 

@@ -73,15 +73,17 @@ def transform_returns(prices, c: float):
 def read_price_csv(path) -> np.ndarray:
     """Prices from a CSV with a header row; column 1 is a date or index
     (ignored), columns 2..d+1 are prices.  A row whose column count is not
-    the header's, or with a price cell that is empty or not a number,
-    raises ValueError naming its line in the file."""
+    the header's, or with a price cell that is empty, not a number, NaN
+    or infinite, raises ValueError naming its line in the file."""
     return _read_csv(path, 1)
 
 
 def _read_csv(path, first) -> np.ndarray:
     """The numbers in columns first+1.. (from 1) of a CSV with a header
-    row, one array row per line; see read_price_csv for the errors."""
-    rows = []
+    row, one array row per line; see read_price_csv for the errors.  With
+    first = 0, column 1 is a time, and a row whose time is not after the
+    previous row's raises ValueError naming its line too."""
+    rows, lines = [], []
     with open(path) as fh:
         header = fh.readline()
         if not header:
@@ -101,9 +103,25 @@ def _read_csv(path, first) -> np.ndarray:
                 rows.append(list(map(float, parts[first:])))
             except ValueError:
                 raise ValueError(f"line {lineno}: {_bad_cell(parts, first)}") from None
+            lines.append(lineno)
     if not rows:
         raise ValueError("no price rows found")
-    return np.asarray(rows, dtype=float)
+    data = np.asarray(rows, dtype=float)
+    ok = np.isfinite(data)
+    if not ok.all():
+        i, j = np.argwhere(~ok)[0]
+        raise ValueError(
+            f"line {lines[i]}: non-finite value {float(data[i, j])} in column {first + j + 1}"
+        )
+    if first == 0:
+        later = data[1:, 0] > data[:-1, 0]
+        if not later.all():
+            i = int(np.argmin(later)) + 1
+            raise ValueError(
+                f"line {lines[i]}: time {float(data[i, 0])} is not after "
+                f"{float(data[i - 1, 0])} on line {lines[i - 1]}"
+            )
+    return data
 
 
 def _bad_cell(parts, first) -> str:

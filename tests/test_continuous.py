@@ -526,6 +526,22 @@ def test_price_path_csv_names_a_bad_line(tmp_path, row, cause):
         PricePath.from_csv(f)
 
 
+@pytest.mark.parametrize(
+    "row, cause",
+    [
+        ("0.2,nan", "line 3: non-finite value nan in column 2"),
+        ("inf,1.1", "line 3: non-finite value inf in column 1"),
+        ("0.1,1.1", "line 3: time 0.1 is not after 0.1 on line 2"),
+        ("0.05,1.1", "line 3: time 0.05 is not after 0.1 on line 2"),
+    ],
+)
+def test_price_path_csv_names_a_bad_value_or_time(tmp_path, row, cause):
+    f = tmp_path / "path.csv"
+    f.write_text(f"time,S1\n0.1,1.0\n{row}\n0.3,1.2\n")
+    with pytest.raises(ValueError, match=f"^{cause}$"):
+        PricePath.from_csv(f)
+
+
 def test_price_path_csv_needs_a_row(tmp_path):
     f = tmp_path / "path.csv"
     f.write_text("time,S1\n")

@@ -10,6 +10,8 @@ from gtpbet import (
     risk_neutral,
     solve_phi,
 )
+from gtpbet.optimizer import _FULL_STEP
+from conftest import corner_game
 
 
 def phi_value(X, alpha):
@@ -198,3 +200,56 @@ def test_appendix_yn_rejects_bad_input():
     with pytest.raises(ValueError):
         # first two outcomes parallel: rank-deficient head
         appendix_yn(np.array([[0.9, 0.0], [0.9, 0.0], [0.0, 0.9]]))
+
+
+def test_full_step_bound_fixes_the_threshold():
+    # the full step's guaranteed gain lam**2 - w(lam), w(lam) = -lam -
+    # log(1 - lam), clears the Armijo bound 1e-4 lam**2 up to 0.68 only
+    def margin(lam):
+        return lam**2 + lam + math.log1p(-lam) - 1e-4 * lam**2
+
+    assert margin(_FULL_STEP) > 0.0
+    assert margin(0.69) < 0.0
+
+
+def newton_step(X, alpha):
+    """Residuals, Newton step and Newton decrement of phi at alpha."""
+    R = 1.0 + X @ alpha
+    Y = X / R[:, None]
+    step = np.linalg.solve(Y.T @ Y, Y.sum(axis=0))
+    return R, step, math.sqrt(Y.sum(axis=0) @ step)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_newton_decrement_certifies_the_step(d):
+    # random histories, each started a random fraction in [0, 0.95) of the
+    # way from its optimum to the edge of its feasible set: at decrement
+    # lam <= 0.68 the full step keeps every residual positive and gains at
+    # least 1e-4 lam**2, and beyond it the step 1/(1 + lam) keeps every
+    # residual >= R / (1 + lam) and gains at least lam - log(1 + lam)
+    rng = np.random.default_rng(30 + d)
+    corners = corner_game(d).training.points
+    counts = {"full": 0, "damped": 0}
+    for _ in range(150):
+        drift = rng.uniform(-0.6, 0.6, size=d)
+        xs = np.clip(rng.uniform(-0.8, 0.8, size=(rng.integers(5, 300), d)) + drift, -1, 1)
+        X = np.concatenate([corners, xs])
+        a_star = solve_phi(PhiProblem(X)).alpha_star
+        u = rng.standard_normal(d)
+        v = X @ u
+        reach = np.min((1.0 + X @ a_star)[v < 0.0] / -v[v < 0.0])
+        alpha = a_star + rng.uniform(0.0, 0.95) * reach * u
+        R, step, lam = newton_step(X, alpha)
+        ratio = (X @ step) / R
+        if lam <= _FULL_STEP:
+            counts["full"] += 1
+            assert np.all(1.0 + X @ (alpha + step) > 0.0)
+            assert np.sum(np.log1p(ratio)) >= 1e-4 * lam**2
+        else:
+            counts["damped"] += 1
+            t = 1.0 / (1.0 + lam)
+            assert np.all(1.0 + t * ratio >= (1.0 - 1e-12) / (1.0 + lam))
+            assert np.all(1.0 + X @ (alpha + t * step) > 0.0)
+            gain = np.sum(np.log1p(t * ratio))
+            assert gain >= (lam - math.log1p(lam)) * (1.0 - 1e-9)
+    assert min(counts.values()) >= 20, counts

@@ -99,6 +99,22 @@ def test_bad_price_row_names_its_line(tmp_path, row, cause):
         read_price_csv(f)
 
 
+@pytest.mark.parametrize(
+    "row, cause",
+    [
+        ("2020-01-03,nan,48", "line 4: non-finite value nan in column 2"),
+        ("2020-01-03,102,inf", "line 4: non-finite value inf in column 3"),
+        ("2020-01-03,102, -Infinity", "line 4: non-finite value -inf in column 3"),
+        ("2020-01-03,1e999,48", "line 4: non-finite value inf in column 2"),
+    ],
+)
+def test_non_finite_price_cell_names_its_line(tmp_path, row, cause):
+    f = tmp_path / "prices.csv"
+    f.write_text(f"date,A,B\n2020-01-01,100,50\n\n{row}\n2020-01-04,101,49\n")
+    with pytest.raises(ValueError, match=f"^{cause}$"):
+        read_price_csv(f)
+
+
 def test_price_header_without_price_column(tmp_path):
     f = tmp_path / "prices.csv"
     f.write_text("date\n2020-01-01\n")
