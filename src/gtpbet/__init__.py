@@ -14,6 +14,7 @@ from .baselines import (
     constant_strategy_capital,
     kelly_gbm_rate,
     universal_portfolio,
+    universal_portfolio_curves,
 )
 from .continuous import (
     Embedding,
@@ -100,4 +101,5 @@ __all__ = [
     "sos_run",
     "transform_returns",
     "universal_portfolio",
+    "universal_portfolio_curves",
 ]

@@ -14,6 +14,7 @@ __all__ = [
     "UniversalPortfolioConfig",
     "constant_strategy_capital",
     "universal_portfolio",
+    "universal_portfolio_curves",
     "kelly_gbm_rate",
 ]
 
@@ -51,6 +52,11 @@ class UniversalPortfolioConfig:
         return 0.5 * (edges[:-1] + edges[1:])
 
 
+# Rounds per block of universal_portfolio_curves.  Each block array is
+# _UP_ROWS x M floats, so the working memory does not grow with the path.
+_UP_ROWS = 128
+
+
 def universal_portfolio(config: UniversalPortfolioConfig, path) -> np.ndarray:
     """Per-round capital K^U_n = (1/M) sum_m prod_i (1 + alpha_m x_i).
 
@@ -58,22 +64,45 @@ def universal_portfolio(config: UniversalPortfolioConfig, path) -> np.ndarray:
     exactly as the mean over accounts so it can be reproduced bit for bit
     from M independent constant-strategy runs.  Accounts whose capital
     hits zero (boundary alphas with trained variant) simply stop
-    contributing.
+    contributing.  The curve is the one of universal_portfolio_curves that
+    config.include_training selects.
+    """
+    plain, trained = universal_portfolio_curves(config.M, path)
+    return trained if config.include_training else plain
 
-    The work is one (n, M) array: the growth factors 1 + alpha_m x_i,
-    turned into running products and scaled by the training factor in
-    place, with the same multiplications as np.cumprod.
+
+def universal_portfolio_curves(M: int, path) -> tuple[np.ndarray, np.ndarray]:
+    """The universal portfolio of M accounts without and with training.
+
+    Both curves come from one pass over blocks of _UP_ROWS rounds.  A
+    block holds the growth factors 1 + alpha_m x_i below a row with each
+    account's capital before the block, and one np.cumprod down the block
+    turns them into capitals, so every product is the one np.cumprod makes
+    over the whole (n, M) array.  Each row's mean over the accounts gives
+    the untrained curve and, after the training factor
+    (1 - alpha_m)(1 + alpha_m), the trained one.  A negative growth
+    factor raises CollateralError.
     """
     path = as_path(path, 1)[:, 0]
-    alphas = config.account_alphas
-    caps = np.multiply.outer(path, alphas)
-    caps += 1.0
-    if caps.min(initial=0.0) < 0.0:
-        raise CollateralError("an account's growth factor went negative")
-    np.cumprod(caps, axis=0, out=caps)
-    if config.include_training:
-        caps *= (1.0 - alphas) * (1.0 + alphas)
-    return caps.mean(axis=1)
+    alphas = UniversalPortfolioConfig(M=M).account_alphas
+    factor = (1.0 - alphas) * (1.0 + alphas)
+    n = path.size
+    plain, trained = np.empty(n), np.empty(n)
+    caps = np.ones((min(n, _UP_ROWS) + 1, M))
+    scaled = np.empty((caps.shape[0] - 1, M))
+    for lo in range(0, n, _UP_ROWS):
+        hi = min(lo + _UP_ROWS, n)
+        block = caps[: hi - lo + 1]
+        np.multiply.outer(path[lo:hi], alphas, out=block[1:])
+        block[1:] += 1.0
+        if block[1:].min() < 0.0:
+            raise CollateralError("an account's growth factor went negative")
+        np.cumprod(block, axis=0, out=block)
+        np.mean(block[1:], axis=1, out=plain[lo:hi])
+        np.multiply(block[1:], factor, out=scaled[: hi - lo])
+        np.mean(scaled[: hi - lo], axis=1, out=trained[lo:hi])
+        caps[0] = block[-1]
+    return plain, trained
 
 
 def kelly_gbm_rate(mu, sigma, partition=None):

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import UniversalPortfolioConfig, universal_portfolio
+from .baselines import universal_portfolio_curves
 from .continuous import gen_gbm, girsanov_rate_experiment, gen_fbm, holder_experiment
 from .domain import Domain, GameConfig, make_training
 from .model_select import select_dimension
@@ -62,15 +62,6 @@ def _seed(cfg) -> int:
     return int(cfg.get("seed", "0"))
 
 
-def _write_long_series(path, series: dict) -> None:
-    """Long format: series,n,value - one row per point, gnuplot/vega ready."""
-    with open(path, "w", newline="") as fh:
-        fh.write("series,n,value\n")
-        for name, values in series.items():
-            row = name.replace("%", "%%") + ",%d,%.17g\n"
-            fh.writelines(row % r for r in enumerate(values.tolist(), start=1))
-
-
 def _imaginary_path(n_rounds: int) -> np.ndarray:
     return (1.0 / (np.arange(1, n_rounds + 1) + 1.0))[:, None]
 
@@ -82,10 +73,10 @@ def _unit_corner_game() -> GameConfig:
 
 def _imaginary(cfg, seed, outdir):
     res = sos_run(_unit_corner_game(), _imaginary_path(int(_fnum(cfg, "N", 2000))))
-    res.ledger.to_csv(outdir / "ledger.csv")
-    _write_long_series(
-        outdir / "series.csv",
-        {"LK1": res.ledger.logK_true, "LK0": res.ledger.logK_hindsight},
+    res.ledger.to_csv(
+        outdir / "ledger.csv",
+        series_path=outdir / "series.csv",
+        series={"LK1": "logK_true", "LK0": "logK_hindsight"},
     )
     return res.summary()
 
@@ -94,17 +85,16 @@ def _sos_csv(cfg, seed, outdir):
     prices = read_price_csv(cfg["input"])
     outcomes, game, _tr = transform_returns(prices, _fnum(cfg, "c", 0.17))
     res = sos_run(game, outcomes)
-    led = res.ledger
-    led.to_csv(outdir / "ledger.csv")
-    _write_long_series(
-        outdir / "series.csv",
-        {
-            "LK0": led.logK_hindsight,
-            "LK1": led.logK_true,
-            "LK2": led.logK_approx,
-            "LD1": led.LD1,
-            "LD2": led.LD2,
-            "LD3": led.LD3,
+    res.ledger.to_csv(
+        outdir / "ledger.csv",
+        series_path=outdir / "series.csv",
+        series={
+            "LK0": "logK_hindsight",
+            "LK1": "logK_true",
+            "LK2": "logK_approx",
+            "LD1": "LD1",
+            "LD2": "LD2",
+            "LD3": "LD3",
         },
     )
     return res.summary()
@@ -130,11 +120,7 @@ def _universal_compare(cfg, seed, outdir):
     rng = np.random.default_rng(seed)
     path = rng.uniform(-0.8, 0.8, size=(n_rounds, 1))
     res = sos_run(_unit_corner_game(), path)
-    M = int(_fnum(cfg, "M", 100))
-    up0 = universal_portfolio(UniversalPortfolioConfig(M=M), path)
-    up1 = universal_portfolio(
-        UniversalPortfolioConfig(M=M, include_training=True), path
-    )
+    up0, up1 = universal_portfolio_curves(int(_fnum(cfg, "M", 100)), path)
     res.ledger.to_csv(outdir / "ledger.csv")
     with open(outdir / "universal.csv", "w", newline="") as fh:
         fh.write("n,K1,KU0,KU1\n")

@@ -267,6 +267,10 @@ LEDGER_COLUMNS = (
     "DR",
 )
 
+# Rows that CapitalLedger.to_csv formats at a time: only one block's
+# strings are alive at once, so writing does not raise a run's peak RSS.
+_CSV_ROWS = 256
+
 
 class CapitalLedger:
     """Per-round capital and diagnostic series, all in nats.
@@ -284,10 +288,32 @@ class CapitalLedger:
     def __len__(self) -> int:
         return self.n.size
 
-    def to_csv(self, path) -> None:
-        """Write one row per round, RFC-4180, LF line endings, 17 sig digits."""
-        cols = [getattr(self, c).tolist() for c in LEDGER_COLUMNS[1:]]
-        row = "%d," + ",".join(["%.17g"] * len(cols)) + "\n"
+    def to_csv(self, path, series_path=None, series=None) -> None:
+        """Write one row per round, RFC-4180, LF line endings, 17 sig digits.
+
+        With series_path, also write the long-format file series,n,value:
+        for each name of series, a dict from series name to ledger column,
+        one row per round.  Its fields are the strings of the ledger's own
+        rows, which are formatted _CSV_ROWS rows at a time; until the series
+        file is written, only its joined lines are kept.
+        """
+        row = "%d," + ",".join(["%.17g"] * (len(LEDGER_COLUMNS) - 1)) + "\n"
+        picks = [] if series_path is None else [
+            (name, LEDGER_COLUMNS.index(col)) for name, col in series.items()
+        ]
+        parts = [[] for _ in picks]
         with open(path, "w", newline="") as fh:
             fh.write(",".join(LEDGER_COLUMNS) + "\n")
-            fh.writelines(row % r for r in zip(self.n.tolist(), *cols))
+            for lo in range(0, len(self), _CSV_ROWS):
+                cols = [getattr(self, c)[lo : lo + _CSV_ROWS].tolist() for c in LEDGER_COLUMNS]
+                lines = [row % r for r in zip(*cols)]
+                fh.writelines(lines)
+                if picks:
+                    fields = list(zip(*(line[:-1].split(",") for line in lines)))
+                    for part, (name, j) in zip(parts, picks):
+                        part.append("".join(f"{name},{n},{v}\n" for n, v in zip(fields[0], fields[j])))
+        if series_path is not None:
+            with open(series_path, "w", newline="") as fh:
+                fh.write("series,n,value\n")
+                for part in parts:
+                    fh.writelines(part)

@@ -275,6 +275,13 @@ def deficiency_constants(config: GameConfig):
     strategies and the maximum of 1 + alpha.x_n over training points and
     alpha in the training polytope.  C2 = C1^2 / epsilon0^2 and
     C3 = C2 (d tr V_{0,0} - log |V_{0,0}|).
+
+    The training maximum has a closed form for the two shapes that
+    make_training builds, recognised from the points: points on the
+    coordinate axes (at most one nonzero component each), and the sign
+    corners of their bounding box [lo, hi], all 2^d of them, repeats
+    allowed.  Either needs lo < 0 < hi.  Any other training set solves one
+    linear program per point with SciPy's linprog.
     """
     train = config.training.points
     d = config.domain.d
@@ -291,11 +298,28 @@ def deficiency_constants(config: GameConfig):
 
 def _max_inner_over_polytope(train):
     """max over training points x_n of max_{alpha in P} alpha . x_n,
-    where P = {alpha : 1 + alpha . x_i >= 0 for all training i}."""
+    where P = {alpha : 1 + alpha . x_i >= 0 for all training i}.
+
+    With lo and hi the points' componentwise extremes, both closed forms
+    are max_j max(hi_j / |lo_j|, |lo_j| / hi_j), exactly 1 for +-c e_i.
+    Points on the axes make P the box -1/hi_j <= alpha_j <= 1/|lo_j|, and
+    each point reads one coordinate of it.  Every corner of [lo, hi] makes
+    P {sum_j max(alpha_j |lo_j|, -alpha_j hi_j) <= 1}, and a corner's best
+    alpha spends that budget on the coordinate with the best gain per unit.
+    """
+    n0, d = train.shape
+    lo, hi = train.min(axis=0), train.max(axis=0)
+    if np.all(lo < 0.0) and np.all(hi > 0.0):
+        on_axes = np.all(np.count_nonzero(train, axis=1) <= 1)
+        corners = n0 >= 2**d and np.all((train == lo) | (train == hi))
+        if corners:
+            codes = (train == hi) @ (1 << np.arange(d))
+            corners = np.unique(codes).size == 2**d
+        if on_axes or corners:
+            return float(np.max(np.maximum(hi / -lo, -lo / hi)))
     from scipy.optimize import linprog
 
     best = 0.0
-    n0, d = train.shape
     A_ub = -train  # -x_i . alpha <= 1
     b_ub = np.ones(n0)
     for i in range(n0):

@@ -12,7 +12,9 @@ from gtpbet import (
     kelly_gbm_rate,
     solve_phi,
     universal_portfolio,
+    universal_portfolio_curves,
 )
+from gtpbet.baselines import _UP_ROWS
 
 
 def test_constant_strategy_basics():
@@ -111,6 +113,51 @@ def test_universal_portfolio_working_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * N * M * 8
+
+
+def _whole_array_curves(M, path):
+    """np.cumprod over the whole (N, M) array of growth factors, then the
+    mean over accounts, with the training factor first for the trained
+    curve."""
+    alphas = UniversalPortfolioConfig(M=M).account_alphas
+    caps = np.cumprod(1.0 + np.multiply.outer(path[:, 0], alphas), axis=0)
+    return caps.mean(axis=1), (caps * ((1.0 - alphas) * (1.0 + alphas))).mean(axis=1)
+
+
+@pytest.mark.parametrize("N", [1, _UP_ROWS - 1, _UP_ROWS, _UP_ROWS + 1, 2_000])
+def test_universal_curves_match_whole_array_bit_for_bit(N):
+    path = np.random.default_rng(N).uniform(-0.9, 0.9, size=(N, 1))
+    plain, trained = universal_portfolio_curves(37, path)
+    want_plain, want_trained = _whole_array_curves(37, path)
+    np.testing.assert_array_equal(plain, want_plain)
+    np.testing.assert_array_equal(trained, want_trained)
+    for include_training, want in ((False, want_plain), (True, want_trained)):
+        cfg = UniversalPortfolioConfig(M=37, include_training=include_training)
+        np.testing.assert_array_equal(universal_portfolio(cfg, path), want)
+
+
+def test_universal_curves_reject_negative_growth_factor():
+    # an outcome below -1 makes the top accounts' factor 1 + alpha x < 0,
+    # here in the second block
+    path = np.full((_UP_ROWS + 5, 1), 0.1)
+    path[_UP_ROWS + 2] = -1.5
+    with pytest.raises(CollateralError, match="negative"):
+        universal_portfolio_curves(10, path)
+    with pytest.raises(CollateralError, match="negative"):
+        universal_portfolio(UniversalPortfolioConfig(M=10), path)
+
+
+def test_universal_curves_working_memory_is_a_few_blocks():
+    # both curves, plus block arrays that do not grow with the path
+    N, M = 20_000, 100
+    path = np.random.default_rng(10).uniform(-0.8, 0.8, size=(N, 1))
+    tracemalloc.start()
+    try:
+        universal_portfolio_curves(M, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * N * 8 + 4 * (_UP_ROWS + 1) * M * 8
 
 
 def test_universal_portfolio_rejects_multidim():

@@ -1,11 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gtpbet import UniversalPortfolioConfig, universal_portfolio
-from gtpbet.cli import _write_long_series, main, parse_config, run_scenario
+import gtpbet
+from gtpbet import CapitalLedger, UniversalPortfolioConfig, universal_portfolio
+from gtpbet.cli import main, parse_config, run_scenario
+from gtpbet.domain import _CSV_ROWS, LEDGER_COLUMNS
 
 
 def write_config(tmp_path, text):
@@ -78,18 +84,52 @@ def test_universal_csv_bytes_equal_per_value_format(tmp_path):
     assert (tmp_path / "out" / "universal.csv").read_bytes() == want.encode()
 
 
-def test_long_series_bytes_equal_per_value_format(tmp_path):
-    series = {
-        "a": np.array([math.nan, math.inf, -math.inf, -0.0]),
-        "b%d": np.array([1e-300, 1e300, 1.0 / 3.0]),
-    }
-    _write_long_series(tmp_path / "s.csv", series)
-    want = "series,n,value\n" + "".join(
-        f"{name},{i},{format(float(v), '.17g')}\n"
-        for name, values in series.items()
-        for i, v in enumerate(values, start=1)
+def test_ledger_series_bytes_equal_per_value_format(tmp_path):
+    specials = [math.nan, math.inf, -math.inf, -0.0, 1e-300, 1e300, 1.0 / 3.0]
+    rows = np.random.default_rng(2).standard_normal(2 * _CSV_ROWS + 3)
+    for values in (specials, rows):
+        led = CapitalLedger(len(values))
+        for k, col in enumerate(LEDGER_COLUMNS[1:]):
+            getattr(led, col)[:] = np.roll(values, k)
+        series = {"a": "LD2", "b%d": "logK_true", "c": "LD2"}
+        led.to_csv(tmp_path / "l.csv", series_path=tmp_path / "s.csv", series=series)
+        want = "series,n,value\n" + "".join(
+            f"{name},{i},{format(float(v), '.17g')}\n"
+            for name, col in series.items()
+            for i, v in enumerate(getattr(led, col), start=1)
+        )
+        assert (tmp_path / "s.csv").read_bytes() == want.encode()
+        led.to_csv(tmp_path / "alone.csv")
+        assert (tmp_path / "l.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
+
+
+def test_exact_scenarios_import_no_scipy(tmp_path):
+    # a fresh interpreter, so that no other test's imports count
+    code = (
+        "import json, sys\n"
+        "from pathlib import Path\n"
+        "import numpy as np\n"
+        "from gtpbet.cli import run_scenario\n"
+        "out = Path(sys.argv[1])\n"
+        "prices = 100.0 * np.cumprod(1.0 + np.random.default_rng(0).uniform(-0.03, 0.03, (80, 2)), axis=0)\n"
+        "(out / 'p.csv').write_text('day,A,B\\n' + ''.join(f'{i},{a},{b}\\n' for i, (a, b) in enumerate(prices)))\n"
+        "for cfg in ({'scenario': 'sos_csv', 'input': str(out / 'p.csv')},\n"
+        "            {'scenario': 'universal_compare', 'N': '50', 'M': '10'},\n"
+        "            {'scenario': 'imaginary', 'N': '50'},\n"
+        "            {'scenario': 'sos_synthetic', 'd': '2', 'N': '50'},\n"
+        "            {'scenario': 'model_select', 'N': '50', 'd_max': '2'}):\n"
+        "    run_scenario(cfg, out / cfg['scenario'])\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))\n"
     )
-    assert (tmp_path / "s.csv").read_bytes() == want.encode()
+    src = str(Path(gtpbet.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "sos_csv" / "summary.json").exists()
+    assert json.loads(proc.stdout) == []
 
 
 def _strict_json(text):

@@ -14,6 +14,7 @@ from gtpbet import (
     GameConfig,
     PhiProblem,
     SolverError,
+    TrainingSet,
     constant_strategy_capital,
     deficiency_bounds,
     deficiency_constants,
@@ -26,7 +27,7 @@ from gtpbet import (
 )
 from gtpbet.domain import LEDGER_COLUMNS
 from gtpbet.optimizer import _mask_beyond, _newton_rows, _outer_rows
-from gtpbet.sos import _BLOCK
+from gtpbet.sos import _BLOCK, _max_inner_over_polytope
 from conftest import corner_game, unit_box_game
 
 
@@ -121,6 +122,92 @@ def test_deficiency_constants_skewed_interval():
     cfg = GameConfig(domain=dom, training=make_training(dom, 0.1))
     c1, _, _ = deficiency_constants(cfg)
     assert c1 >= 11.0
+
+
+def _polytope_lp(train):
+    """max_n max {alpha . x_n : 1 + alpha . x_i >= 0 for every i}, one
+    linprog per training point."""
+    from scipy.optimize import linprog
+
+    n0, d = train.shape
+    best = 0.0
+    for x in train:
+        res = linprog(-x, A_ub=-train, b_ub=np.ones(n0), bounds=[(None, None)] * d)
+        assert res.success
+        best = max(best, -res.fun)
+    return best
+
+
+def _training_shapes(rng):
+    """Training sets of both closed-form shapes, d = 1-4."""
+    for d in range(1, 5):
+        for skew in (False, True):
+            half = rng.uniform(0.2, 2.0, size=d)
+            lo, hi = (-rng.uniform(0.2, 2.0, size=d), half) if skew else (-half, half)
+            box = Domain.box(lo, hi)
+            eps = rng.uniform(0.05, 0.9)
+            yield make_training(box, eps, "corners_2tod").points
+            yield make_training(box, eps).points
+            yield make_training(Domain.sphere(d, float(half[0])), eps).points
+            # select_dimension's projected corners: each corner 2^k times
+            wide = np.concatenate([lo, -rng.uniform(0.2, 2.0, size=2)])
+            tall = np.concatenate([hi, rng.uniform(0.2, 2.0, size=2)])
+            signs = make_training(Domain.box(wide, tall), eps, "corners_2tod").points
+            yield signs[:, :d]
+            # axis points of both signs per axis, a few inside the extremes
+            axis = np.diag(hi)
+            inner = np.diag(lo) * rng.uniform(0.1, 1.0, size=(d, 1))
+            yield np.vstack([axis, np.diag(lo), inner])
+
+
+def test_closed_form_polytope_maximum_matches_lp(monkeypatch):
+    import scipy.optimize
+
+    rng = np.random.default_rng(13)
+    sets = [t for _ in range(2) for t in _training_shapes(rng)]
+    want = [_polytope_lp(t) for t in sets]
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("closed-form shape sent to the LP")
+
+    monkeypatch.setattr(scipy.optimize, "linprog", no_lp)
+    for train, lp in zip(sets, want):
+        for order in range(3):
+            got = _max_inner_over_polytope(rng.permutation(train) if order else train)
+            assert abs(got - lp) <= 1e-12 * lp, (train, got, lp)
+    for d in range(1, 5):
+        axis = make_training(Domain.sphere(d, 0.3), 0.4).points
+        assert _max_inner_over_polytope(axis) == 1.0
+        game = corner_game(d)
+        assert deficiency_constants(game)[0] == 2.0
+
+
+@pytest.mark.parametrize(
+    "train",
+    [
+        np.random.default_rng(3).uniform(-1.0, 1.0, size=(6, 2)),
+        # three corners of the square [-1, 2]^2, alone and with a repeat
+        np.array([[-1.0, -1.0], [2.0, -1.0], [-1.0, 2.0]]),
+        np.array([[-1.0, -1.0], [2.0, -1.0], [-1.0, 2.0], [2.0, -1.0]]),
+    ],
+    ids=["path", "three_corners", "three_corners_one_twice"],
+)
+def test_polytope_maximum_of_other_shapes_comes_from_lp(train, monkeypatch):
+    import scipy.optimize
+
+    calls = []
+    linprog = scipy.optimize.linprog
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+
+    want = _polytope_lp(train)
+    monkeypatch.setattr(scipy.optimize, "linprog", counted)
+    ts = TrainingSet(epsilon0=0.1, points=train, scheme="axis_2d")
+    got = _max_inner_over_polytope(ts.points)
+    assert len(calls) == train.shape[0]
+    assert got == want
 
 
 def test_deficiency_bounds_hold(rademacher_run):
