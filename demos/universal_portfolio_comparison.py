@@ -27,9 +27,7 @@ path = rng.uniform(-0.8, 0.8, size=(N, 1)) + 0.05
 dom = Domain.box([-1.0], [1.0])
 cfg = GameConfig(
     domain=dom,
-    training=TrainingSet(
-        epsilon0=0.1, points=np.array([[-1.0], [1.0]]), scheme="corners_2tod"
-    ),
+    training=TrainingSet(epsilon0=0.1, points=np.array([[-1.0], [1.0]])),
 )
 res = sos_run(cfg, path)
 

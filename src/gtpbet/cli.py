@@ -27,7 +27,7 @@ import numpy as np
 
 from .baselines import universal_portfolio_curves
 from .continuous import gen_gbm, girsanov_rate_experiment, gen_fbm, holder_experiment
-from .domain import Domain, GameConfig, make_training
+from .domain import Domain, GameConfig, make_training, write_csv
 from .model_select import select_dimension
 from .sos import sos_run
 from .transform import read_price_csv, transform_returns
@@ -122,14 +122,13 @@ def _universal_compare(cfg, seed, outdir):
     res = sos_run(_unit_corner_game(), path)
     up0, up1 = universal_portfolio_curves(int(_fnum(cfg, "M", 100)), path)
     res.ledger.to_csv(outdir / "ledger.csv")
-    with open(outdir / "universal.csv", "w", newline="") as fh:
-        fh.write("n,K1,KU0,KU1\n")
-        fh.writelines(
-            "%d,%.17g,%.17g,%.17g\n" % (i, math.exp(logk), ku0, ku1)
-            for i, (logk, ku0, ku1) in enumerate(
-                zip(res.ledger.logK_true.tolist(), up0.tolist(), up1.tolist()), start=1
-            )
-        )
+    # K1 by math.exp per value: np.exp rounds some values differently
+    write_csv(outdir / "universal.csv", {
+        "n": res.ledger.n,
+        "K1": np.array([math.exp(v) for v in res.ledger.logK_true.tolist()]),
+        "KU0": up0,
+        "KU1": up1,
+    })
     summary = res.summary()
     summary["KU0_final"] = float(up0[-1])
     summary["KU1_final"] = float(up1[-1])
@@ -147,13 +146,11 @@ def _holder(cfg, seed, outdir):
     )
     deltas = [float(v) for v in cfg.get("delta", "0.02 0.01 0.005").split()]
     rows, hs = holder_experiment(path, deltas)
-    with open(outdir / "holder.csv", "w", newline="") as fh:
-        fh.write("delta,N,trV_N,logK,delta_alpha_norm\n")
-        for r in rows:
-            fh.write(
-                f"{r['delta']:.17g},{r['N']},{r['trV_N']:.17g},"
-                f"{r['logK']:.17g},{r['delta_alpha_norm']:.17g}\n"
-            )
+    # names from a fixed tuple, so that an empty grid writes the header
+    write_csv(outdir / "holder.csv", {
+        k: np.array([r[k] for r in rows])
+        for k in ("delta", "N", "trV_N", "logK", "delta_alpha_norm")
+    })
     return {"H": hurst, "rows": rows, "H_estimates": hs}
 
 
@@ -231,12 +228,8 @@ def _cmd_transform(args) -> int:
     prices = read_price_csv(args.prices)
     outcomes, _game, tr = transform_returns(prices, args.c)
     out = Path(args.output) if args.output else Path(args.prices).with_suffix(".outcomes.csv")
-    d = outcomes.shape[1]
-    with open(out, "w", newline="") as fh:
-        fh.write(",".join(f"x{j + 1}" for j in range(d)) + "\n")
-        for row in outcomes:
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
-    print(f"wrote {out} ({outcomes.shape[0]} rounds, d={d}, F={tr.F})")
+    write_csv(out, {f"x{j + 1}": x for j, x in enumerate(outcomes.T)})
+    print(f"wrote {out} ({outcomes.shape[0]} rounds, d={outcomes.shape[1]}, F={tr.F})")
     print("rho = " + " ".join(format(v, ".6g") for v in tr.rho))
     return 0
 

@@ -16,9 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .domain import Domain, GameConfig, InvariantError, as_prices, make_training
+from .domain import (
+    Domain, GameConfig, InvariantError, _read_csv, as_prices, make_training, write_csv
+)
 from .sos import sos_capital_fast
-from .transform import _read_csv
 
 __all__ = [
     "PricePath",
@@ -58,14 +59,9 @@ class PricePath:
         return float(self.times[-1])
 
     def to_csv(self, path) -> None:
-        d = self.d
-        with open(path, "w", newline="") as fh:
-            fh.write("time," + ",".join(f"S{j + 1}" for j in range(d)) + "\n")
-            for i in range(self.times.size):
-                row = [format(self.times[i], ".17g")] + [
-                    format(self.values[i, j], ".17g") for j in range(d)
-                ]
-                fh.write(",".join(row) + "\n")
+        """Write the columns time, S1..Sd with write_csv."""
+        prices = {f"S{j + 1}": v for j, v in enumerate(self.values.T)}
+        write_csv(path, {"time": self.times} | prices)
 
     @classmethod
     def from_csv(cls, path) -> "PricePath":

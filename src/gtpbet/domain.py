@@ -6,6 +6,8 @@ prepends synthetic "training" outcomes chosen so that any proportion
 vector alpha that keeps 1 + alpha.x >= 0 on the training points keeps
 1 + alpha.x >= epsilon0 on all of D.  Capital is tracked in log space
 (nats) because raw capital overflows double precision on long runs.
+Every table the package writes or reads goes through one CSV format,
+write_csv and _read_csv.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ __all__ = [
     "as_prices",
     "make_training",
     "running_moments",
+    "write_csv",
 ]
 
 _BOUNDARY_SLACK = 1e-12  # absorbs transform rounding on membership tests
@@ -117,18 +120,10 @@ class Domain:
 
 @dataclass(frozen=True)
 class TrainingSet:
-    """Synthetic prior outcomes guaranteeing epsilon0 interiority.
-
-    scheme "axis_2d" uses the 2d vectors +-c e_i with
-    c = delta_bar * sqrt(d) / (1 - epsilon0), which certifies the
-    epsilon0 margin on any domain.  scheme "corners_2tod" uses the 2^d
-    sign vectors of the box (the construction used with the return
-    transform); it certifies prudence but only the epsilon0 -> 0 margin.
-    """
+    """Synthetic prior outcomes guaranteeing epsilon0 interiority."""
 
     epsilon0: float
     points: np.ndarray  # (n0, d)
-    scheme: str
 
     @property
     def n0(self) -> int:
@@ -148,6 +143,12 @@ class TrainingSet:
 def make_training(domain: Domain, epsilon0: float, scheme: str = "axis_2d") -> TrainingSet:
     """Build the training set for a domain.
 
+    scheme "axis_2d" uses the 2d vectors +-c e_i with
+    c = delta_bar * sqrt(d) / (1 - epsilon0), which certifies the
+    epsilon0 margin on any domain.  scheme "corners_2tod" uses the 2^d
+    sign vectors of the box (the construction used with the return
+    transform); it certifies prudence but only the epsilon0 -> 0 margin.
+
     Raises ValueError for epsilon0 outside (0,1), for the corner scheme
     on non-box domains, and for d > 20 corners (2^d explosion).
     """
@@ -160,7 +161,7 @@ def make_training(domain: Domain, epsilon0: float, scheme: str = "axis_2d") -> T
         for i in range(d):
             pts[2 * i, i] = c
             pts[2 * i + 1, i] = -c
-        return TrainingSet(epsilon0=epsilon0, points=pts, scheme=scheme)
+        return TrainingSet(epsilon0=epsilon0, points=pts)
     if scheme == "corners_2tod":
         if domain.kind != "box":
             raise ValueError("corners_2tod requires a box domain")
@@ -171,7 +172,7 @@ def make_training(domain: Domain, epsilon0: float, scheme: str = "axis_2d") -> T
             np.meshgrid(*[(domain.lo[i], domain.hi[i]) for i in range(d)], indexing="ij"),
             axis=-1,
         ).reshape(-1, d)
-        return TrainingSet(epsilon0=epsilon0, points=grid, scheme=scheme)
+        return TrainingSet(epsilon0=epsilon0, points=grid)
     raise ValueError(f"unknown training scheme {scheme!r}")
 
 
@@ -253,6 +254,86 @@ def running_moments(path, s0=None, V0=None):
     return s, V
 
 
+# Rows that write_csv formats at a time: only one block's strings are
+# alive at once, so writing does not raise a run's peak RSS.
+_CSV_ROWS = 256
+
+# write_csv's field format per NumPy dtype kind; any other kind is a float
+_CSV_FORMATS = {"b": "%d", "i": "%d", "u": "%d", "U": "%s"}
+
+
+def write_csv(path, columns) -> None:
+    """Write columns, a dict from name to 1-D array of one length, as CSV:
+    a header row, then one row per index, LF line endings.  Integer and
+    bool columns are written as integers, str columns as they are and all
+    others to 17 significant digits, which read back exactly."""
+    cols = [np.asarray(c) for c in columns.values()]
+    row = ",".join(_CSV_FORMATS.get(c.dtype.kind, "%.17g") for c in cols) + "\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(columns) + "\n")
+        for lo in range(0, cols[0].size, _CSV_ROWS):
+            fh.writelines(row % r for r in zip(*(c[lo : lo + _CSV_ROWS].tolist() for c in cols)))
+
+
+def _read_csv(path, first) -> np.ndarray:
+    """The numbers in columns first+1.. (from 1) of a CSV with a header
+    row, one array row per line; see read_price_csv for the errors.  With
+    first = 0, column 1 is a time, and a row whose time is not after the
+    previous row's raises ValueError naming its line too."""
+    rows, lines = [], []
+    with open(path) as fh:
+        header = fh.readline()
+        if not header:
+            raise ValueError("empty price file")
+        width = header.count(",") + 1
+        if width < 2:
+            raise ValueError("line 1: the header names no price column")
+        for lineno, line in enumerate(fh, start=2):
+            parts = line.split(",")
+            if len(parts) != width:
+                if line.isspace():
+                    continue
+                raise ValueError(
+                    f"line {lineno}: {len(parts)} columns where the header has {width}"
+                )
+            try:  # float() ignores the whitespace around a cell
+                rows.append(list(map(float, parts[first:])))
+            except ValueError:
+                raise ValueError(f"line {lineno}: {_bad_cell(parts, first)}") from None
+            lines.append(lineno)
+    if not rows:
+        raise ValueError("no price rows found")
+    data = np.asarray(rows, dtype=float)
+    ok = np.isfinite(data)
+    if not ok.all():
+        i, j = np.argwhere(~ok)[0]
+        raise ValueError(
+            f"line {lines[i]}: non-finite value {float(data[i, j])} in column {first + j + 1}"
+        )
+    if first == 0:
+        later = data[1:, 0] > data[:-1, 0]
+        if not later.all():
+            i = int(np.argmin(later)) + 1
+            raise ValueError(
+                f"line {lines[i]}: time {float(data[i, 0])} is not after "
+                f"{float(data[i - 1, 0])} on line {lines[i - 1]}"
+            )
+    return data
+
+
+def _bad_cell(parts, first) -> str:
+    """The cause for the first cell from column first+1 on (from 1) of a
+    row that float() refuses."""
+    for j, v in enumerate(parts[first:], start=first + 1):
+        try:
+            float(v)
+        except ValueError:
+            cell = v.strip()
+            if not cell:
+                return f"empty cell in column {j}"
+            return f"non-numeric cell {cell!r} in column {j}"
+
+
 # ledger CSV column order, one row per round
 LEDGER_COLUMNS = (
     "n",
@@ -266,10 +347,6 @@ LEDGER_COLUMNS = (
     "QR",
     "DR",
 )
-
-# Rows that CapitalLedger.to_csv formats at a time: only one block's
-# strings are alive at once, so writing does not raise a run's peak RSS.
-_CSV_ROWS = 256
 
 
 class CapitalLedger:
@@ -289,31 +366,16 @@ class CapitalLedger:
         return self.n.size
 
     def to_csv(self, path, series_path=None, series=None) -> None:
-        """Write one row per round, RFC-4180, LF line endings, 17 sig digits.
+        """Write one row per round with write_csv.
 
         With series_path, also write the long-format file series,n,value:
         for each name of series, a dict from series name to ledger column,
-        one row per round.  Its fields are the strings of the ledger's own
-        rows, which are formatted _CSV_ROWS rows at a time; until the series
-        file is written, only its joined lines are kept.
+        one row per round.
         """
-        row = "%d," + ",".join(["%.17g"] * (len(LEDGER_COLUMNS) - 1)) + "\n"
-        picks = [] if series_path is None else [
-            (name, LEDGER_COLUMNS.index(col)) for name, col in series.items()
-        ]
-        parts = [[] for _ in picks]
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(LEDGER_COLUMNS) + "\n")
-            for lo in range(0, len(self), _CSV_ROWS):
-                cols = [getattr(self, c)[lo : lo + _CSV_ROWS].tolist() for c in LEDGER_COLUMNS]
-                lines = [row % r for r in zip(*cols)]
-                fh.writelines(lines)
-                if picks:
-                    fields = list(zip(*(line[:-1].split(",") for line in lines)))
-                    for part, (name, j) in zip(parts, picks):
-                        part.append("".join(f"{name},{n},{v}\n" for n, v in zip(fields[0], fields[j])))
+        write_csv(path, {c: getattr(self, c) for c in LEDGER_COLUMNS})
         if series_path is not None:
-            with open(series_path, "w", newline="") as fh:
-                fh.write("series,n,value\n")
-                for part in parts:
-                    fh.writelines(part)
+            write_csv(series_path, {
+                "series": np.repeat(list(series), len(self)),
+                "n": np.tile(self.n, len(series)),
+                "value": np.ravel([getattr(self, c) for c in series.values()]),
+            })

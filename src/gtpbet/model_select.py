@@ -5,8 +5,10 @@ d_max-dimensional box, projected onto the first d coordinates for the
 d-item game.  That makes the d-item objective the restriction of the
 (d+1)-item objective to a zero last coordinate, so the hindsight KL term
 is nondecreasing in d by construction.  The criterion subtracts the
-determinant-ratio penalty, which grows with d, from the KL term; the
-argmax trades fit against the cost of estimating more proportions.
+penalty LD2 from the KL term; the argmax trades fit against the cost of
+estimating more proportions.  LD2 is taken along each d-game's own bets,
+so it is not nested the way the KL term is and need not grow with d;
+select_dimension warns when it falls.
 """
 
 from __future__ import annotations
@@ -16,7 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Domain, GameConfig, InvariantError, TrainingSet, as_path, make_training
+from .domain import (
+    Domain, GameConfig, InvariantError, TrainingSet, as_path, make_training, write_csv
+)
 from .sos import sos_run
 
 __all__ = ["NestedGameReport", "select_dimension"]
@@ -32,15 +36,15 @@ class NestedGameReport:
     selected: int
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("d,kl_term,penalty,criterion,logK_true,selected\n")
-            for i in range(self.d.size):
-                fh.write(
-                    f"{self.d[i]},"
-                    f"{self.kl_term[i]:.17g},{self.penalty[i]:.17g},"
-                    f"{self.criterion[i]:.17g},{self.logK_true[i]:.17g},"
-                    f"{int(self.d[i] == self.selected)}\n"
-                )
+        """Write one row per d with write_csv; selected is 1 on the chosen d."""
+        write_csv(path, {
+            "d": self.d,
+            "kl_term": self.kl_term,
+            "penalty": self.penalty,
+            "criterion": self.criterion,
+            "logK_true": self.logK_true,
+            "selected": self.d == self.selected,
+        })
 
 
 def select_dimension(paths, epsilon0: float = 0.1) -> NestedGameReport:
@@ -63,9 +67,7 @@ def select_dimension(paths, epsilon0: float = 0.1) -> NestedGameReport:
     logk = np.empty(d_max)
     for d in range(1, d_max + 1):
         dom = Domain.box(-np.ones(d), np.ones(d))
-        train = TrainingSet(
-            epsilon0=epsilon0, points=signs[:, :d].copy(), scheme="corners_2tod"
-        )
+        train = TrainingSet(epsilon0=epsilon0, points=signs[:, :d].copy())
         cfg = GameConfig(domain=dom, training=train)
         res = sos_run(cfg, paths[:, :d])
         led = res.ledger

@@ -243,8 +243,7 @@ def sos_capital_fast(path, training, alpha_box):
     leading-order rule alpha = V^{-1} s over the raw second-moment
     statistics, clipped component-wise to alpha_box, which is the
     prudence box implied by axis training and keeps every growth factor
-    positive.  For outcomes of norm delta the rule agrees with the exact
-    optimum to O(delta), and the capital to second order in that gap.
+    positive.
 
     s and V before each round are the training totals plus the running
     moments of the path, which do not depend on the bets, so the whole

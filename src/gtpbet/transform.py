@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Domain, GameConfig, as_prices, make_training
+from .domain import Domain, GameConfig, _read_csv, as_prices, make_training
 
 __all__ = ["ReturnTransform", "transform_returns", "read_price_csv"]
 
@@ -76,62 +76,3 @@ def read_price_csv(path) -> np.ndarray:
     the header's, or with a price cell that is empty, not a number, NaN
     or infinite, raises ValueError naming its line in the file."""
     return _read_csv(path, 1)
-
-
-def _read_csv(path, first) -> np.ndarray:
-    """The numbers in columns first+1.. (from 1) of a CSV with a header
-    row, one array row per line; see read_price_csv for the errors.  With
-    first = 0, column 1 is a time, and a row whose time is not after the
-    previous row's raises ValueError naming its line too."""
-    rows, lines = [], []
-    with open(path) as fh:
-        header = fh.readline()
-        if not header:
-            raise ValueError("empty price file")
-        width = header.count(",") + 1
-        if width < 2:
-            raise ValueError("line 1: the header names no price column")
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.split(",")
-            if len(parts) != width:
-                if line.isspace():
-                    continue
-                raise ValueError(
-                    f"line {lineno}: {len(parts)} columns where the header has {width}"
-                )
-            try:  # float() ignores the whitespace around a cell
-                rows.append(list(map(float, parts[first:])))
-            except ValueError:
-                raise ValueError(f"line {lineno}: {_bad_cell(parts, first)}") from None
-            lines.append(lineno)
-    if not rows:
-        raise ValueError("no price rows found")
-    data = np.asarray(rows, dtype=float)
-    ok = np.isfinite(data)
-    if not ok.all():
-        i, j = np.argwhere(~ok)[0]
-        raise ValueError(
-            f"line {lines[i]}: non-finite value {float(data[i, j])} in column {first + j + 1}"
-        )
-    if first == 0:
-        later = data[1:, 0] > data[:-1, 0]
-        if not later.all():
-            i = int(np.argmin(later)) + 1
-            raise ValueError(
-                f"line {lines[i]}: time {float(data[i, 0])} is not after "
-                f"{float(data[i - 1, 0])} on line {lines[i - 1]}"
-            )
-    return data
-
-
-def _bad_cell(parts, first) -> str:
-    """The cause for the first cell from column first+1 on (from 1) of a
-    row that float() refuses."""
-    for j, v in enumerate(parts[first:], start=first + 1):
-        try:
-            float(v)
-        except ValueError:
-            cell = v.strip()
-            if not cell:
-                return f"empty cell in column {j}"
-            return f"non-numeric cell {cell!r} in column {j}"

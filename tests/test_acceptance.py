@@ -172,9 +172,7 @@ def test_harmonic_data_log_capital_slope():
     dom = Domain.box([-1.0], [1.0])
     cfg = GameConfig(
         domain=dom,
-        training=TrainingSet(
-            epsilon0=0.1, points=np.array([[-1.0], [1.0]]), scheme="corners_2tod"
-        ),
+        training=TrainingSet(epsilon0=0.1, points=np.array([[-1.0], [1.0]])),
     )
     res = sos_run(cfg, path)
     n = np.arange(1, 2001)

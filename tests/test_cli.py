@@ -12,6 +12,7 @@ import gtpbet
 from gtpbet import CapitalLedger, UniversalPortfolioConfig, universal_portfolio
 from gtpbet.cli import main, parse_config, run_scenario
 from gtpbet.domain import _CSV_ROWS, LEDGER_COLUMNS
+from gtpbet.transform import read_price_csv, transform_returns
 
 
 def write_config(tmp_path, text):
@@ -101,6 +102,35 @@ def test_ledger_series_bytes_equal_per_value_format(tmp_path):
         assert (tmp_path / "s.csv").read_bytes() == want.encode()
         led.to_csv(tmp_path / "alone.csv")
         assert (tmp_path / "l.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
+
+
+def test_holder_csv_bytes_equal_per_value_format(tmp_path):
+    # the first radius has no stop; an empty grid writes the header alone
+    base = {"scenario": "holder", "H": "0.3", "scale": "0.1", "grid_step": repr(2.0**-16),
+            "seed": "3"}
+    for name, deltas in (("grid", "0.9 0.04 0.02"), ("empty", "")):
+        rows = run_scenario({**base, "delta": deltas}, tmp_path / name)["rows"]
+        want = "delta,N,trV_N,logK,delta_alpha_norm\n" + "".join(
+            f"{format(r['delta'], '.17g')},{'%d' % r['N']},{format(r['trV_N'], '.17g')},"
+            f"{format(r['logK'], '.17g')},{format(r['delta_alpha_norm'], '.17g')}\n"
+            for r in rows
+        )
+        assert (tmp_path / name / "holder.csv").read_bytes() == want.encode()
+    assert rows == []
+
+
+def test_transform_csv_bytes_equal_per_value_format(tmp_path):
+    rng = np.random.default_rng(5)
+    prices = 100.0 * np.cumprod(1.0 + rng.uniform(-0.03, 0.03, (50, 2)), axis=0)
+    pf = tmp_path / "prices.csv"
+    pf.write_text("day,A,B\n" + "".join(f"{i},{a!r},{b!r}\n" for i, (a, b) in enumerate(prices.tolist())))
+    out = tmp_path / "x.csv"
+    assert main(["transform", str(pf), "--c", "0.2", "--output", str(out)]) == 0
+    outcomes, _game, _tr = transform_returns(read_price_csv(pf), 0.2)
+    want = "x1,x2\n" + "".join(
+        f"{format(a, '.17g')},{format(b, '.17g')}\n" for a, b in outcomes.tolist()
+    )
+    assert out.read_bytes() == want.encode()
 
 
 def test_exact_scenarios_import_no_scipy(tmp_path):

@@ -509,6 +509,24 @@ def test_price_path_csv_roundtrip(tmp_path):
     np.testing.assert_allclose(q.times, p.times, rtol=1e-15)
 
 
+def test_price_path_csv_bytes_equal_per_value_format(tmp_path):
+    # d = 2 on a non-uniform grid; 17 significant digits read back exactly
+    rng = np.random.default_rng(6)
+    values = np.exp(0.1 * rng.standard_normal((40, 2)))
+    values[0] = [1e-300, 1e300]
+    p = PricePath(times=np.cumsum(rng.uniform(1e-3, 0.1, 40)), values=values)
+    f = tmp_path / "path.csv"
+    p.to_csv(f)
+    want = "time,S1,S2\n" + "".join(
+        f"{format(t, '.17g')},{format(a, '.17g')},{format(b, '.17g')}\n"
+        for t, (a, b) in zip(p.times.tolist(), p.values.tolist())
+    )
+    assert f.read_bytes() == want.encode()
+    q = PricePath.from_csv(f)
+    np.testing.assert_array_equal(q.times, p.times)
+    np.testing.assert_array_equal(q.values, p.values)
+
+
 @pytest.mark.parametrize(
     "row, cause",
     [

@@ -89,7 +89,7 @@ def test_corner_training_rejections():
 
 def test_training_must_span():
     with pytest.raises(ValueError):
-        TrainingSet(epsilon0=0.1, points=np.zeros((2, 2)), scheme="axis_2d")
+        TrainingSet(epsilon0=0.1, points=np.zeros((2, 2)))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -162,7 +162,7 @@ ENTRY_POINTS = {
     "select_dimension": _select,
     "universal_portfolio": lambda p: universal_portfolio(UniversalPortfolioConfig(M=10), p),
     "PhiProblem": lambda p: PhiProblem(p).outcomes,
-    "TrainingSet": lambda p: TrainingSet(epsilon0=0.1, points=p, scheme="axis_2d").points,
+    "TrainingSet": lambda p: TrainingSet(epsilon0=0.1, points=p).points,
     "sos_capital_fast training": lambda p: sos_capital_fast(np.full(5, 0.01), p, 1.0),
 }
 

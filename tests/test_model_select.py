@@ -45,6 +45,23 @@ def test_report_arithmetic_and_csv(tmp_path):
     assert flags[rep.selected - 1] == 1
 
 
+def test_report_csv_bytes_equal_per_value_format(tmp_path):
+    rng = np.random.default_rng(2)
+    paths = (rng.uniform(-0.5, 0.5, size=(200, 3)) + 0.1).clip(-0.9, 0.9)
+    rep = select_dimension(paths)
+    out = tmp_path / "report.csv"
+    rep.to_csv(out)
+    want = "d,kl_term,penalty,criterion,logK_true,selected\n" + "".join(
+        f"{'%d' % d},{format(k, '.17g')},{format(p, '.17g')},{format(c, '.17g')},"
+        f"{format(lk, '.17g')},{'%d' % (d == rep.selected)}\n"
+        for d, k, p, c, lk in zip(
+            rep.d.tolist(), rep.kl_term.tolist(), rep.penalty.tolist(),
+            rep.criterion.tolist(), rep.logK_true.tolist(),
+        )
+    )
+    assert out.read_bytes() == want.encode()
+
+
 def test_length_mismatch_rejected():
     with pytest.raises(ValueError):
         select_dimension(np.zeros((0, 2)))

@@ -204,7 +204,7 @@ def test_polytope_maximum_of_other_shapes_comes_from_lp(train, monkeypatch):
 
     want = _polytope_lp(train)
     monkeypatch.setattr(scipy.optimize, "linprog", counted)
-    ts = TrainingSet(epsilon0=0.1, points=train, scheme="axis_2d")
+    ts = TrainingSet(epsilon0=0.1, points=train)
     got = _max_inner_over_polytope(ts.points)
     assert len(calls) == train.shape[0]
     assert got == want
