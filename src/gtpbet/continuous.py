@@ -14,10 +14,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .domain import (
-    Domain, GameConfig, InvariantError, _read_csv, as_prices, make_training, write_csv
+    Domain, GameConfig, InvariantError, _read_csv, _require_positive, as_prices,
+    make_training, write_csv,
 )
 from .sos import sos_capital_fast
 
@@ -131,10 +132,7 @@ def _scan_crossings(S, d2):
     def windows(B):
         # row i of each view is the column's [i, i + B), without a copy
         if B not in views:
-            views[B] = [
-                as_strided(c, (K + 2 - B, B), (c.strides[0],) * 2, writeable=False)
-                for c in cols
-            ]
+            views[B] = [sliding_window_view(c, B) for c in cols]
         return views[B]
 
     owner = np.zeros(K + 1, np.int16)  # the chain that owns each index, 0 for none
@@ -262,39 +260,30 @@ def embed(path: PricePath, delta: float) -> Embedding:
     reached merges into it, and the stops are spliced from the first
     chain's merges (see _scan_crossings).  They are those of one scan
     from index 0, bit for bit.
-    A single grid step whose return norm exceeds 2 delta means the
-    sampling grid is too coarse to localize the crossing and raises
-    ValueError.
+    A delta that is not positive and finite raises ValueError, and so
+    does a single grid step whose return norm exceeds 2 delta: the
+    sampling grid is then too coarse to localize the crossing.
     """
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
+    _require_positive(delta=delta)
     S = path.values
-    K = S.shape[0] - 1
     stops, _ = _scan_crossings(S, delta * delta)
-    if stops.size:
-        prev = np.concatenate([[0], stops[:-1]])
-        raws = S[stops] / S[prev] - 1.0
-        steps = np.linalg.norm(S[stops] / S[stops - 1] - 1.0, axis=1)
-        worst = float(steps.max())
-        if worst > 2.0 * delta:
-            k = int(stops[np.argmax(steps)])
-            raise ValueError(
-                f"grid too coarse: single-step return {worst:.4g} exceeds "
-                f"2*delta at index {k}; sample the path more finely"
-            )
-        nrm = np.linalg.norm(raws, axis=1)
-        outcomes = raws * (delta / nrm)[:, None]
-        final_ret = S[K] / S[stops[-1]] - 1.0
-    else:
-        raws = np.zeros((0, path.d))
-        outcomes = np.zeros((0, path.d))
-        final_ret = S[K] / S[0] - 1.0
+    prev = np.concatenate([[0], stops])  # t_0 = 0, then the stops
+    raws = S[stops] / S[prev[:-1]] - 1.0
+    steps = np.linalg.norm(S[stops] / S[stops - 1] - 1.0, axis=1)
+    worst = float(steps.max(initial=0.0))
+    if worst > 2.0 * delta:
+        k = int(stops[np.argmax(steps)])
+        raise ValueError(
+            f"grid too coarse: single-step return {worst:.4g} exceeds "
+            f"2*delta at index {k}; sample the path more finely"
+        )
+    nrm = np.linalg.norm(raws, axis=1)
     return Embedding(
         delta=delta,
         stop_indices=stops,
-        outcomes=outcomes,
+        outcomes=raws * (delta / nrm)[:, None],
         raw_returns=raws,
-        final_return=final_ret,
+        final_return=S[-1] / S[prev[-1]] - 1.0,
         N=len(stops),
     )
 
@@ -302,9 +291,7 @@ def embed(path: PricePath, delta: float) -> Embedding:
 def _grid(T, grid_step):
     """Number of grid steps over [0, T] and their common length.  A
     degenerate grid is refused here, before anything is allocated."""
-    for name, value in (("T", T), ("grid_step", grid_step)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    _require_positive(T=T, grid_step=grid_step)
     K = int(math.ceil(T / grid_step))
     return K, T / K
 
@@ -444,13 +431,12 @@ _EPSILON0 = 0.1  # interiority margin of the embedded games' training
 def _run_embedded_sos(emb: Embedding):
     """Fast sequential strategy over an embedding.  Returns the final log
     capital, including the residual period from the last stop to the
-    horizon, and the final unclipped V^{-1} s (zero when nothing stopped)."""
+    horizon, and the final unclipped V^{-1} s.  With no stop, s is the sum
+    of the +-c axis training points, exactly zero, so both are zero."""
     d = emb.outcomes.shape[1]
     training = game_config_for_embedding(emb.delta, d).training.points
     bound = 1.0 / training.max()
     logK = float(np.sum(sos_capital_fast(emb.outcomes, training, bound)))
-    if not emb.N:
-        return logK, np.zeros(d)
     # residual period: the final sub-delta return at the standing bet
     s = training.sum(axis=0) + emb.outcomes.sum(axis=0)
     V = training.T @ training + emb.outcomes.T @ emb.outcomes
@@ -499,6 +485,7 @@ def girsanov_rate_experiment(mu, sigma, T, delta, seed):
     of delta."""
     from .baselines import kelly_gbm_rate
 
+    _require_positive(delta=delta)
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
     smax = float(np.max(np.linalg.norm(sigma, axis=1)))

@@ -34,6 +34,13 @@ __all__ = [
 _BOUNDARY_SLACK = 1e-12  # absorbs transform rounding on membership tests
 
 
+def _require_positive(**values) -> None:
+    """Raise ValueError naming the first value that is not positive and finite."""
+    for name, value in values.items():
+        if value is None or not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 class CollateralError(ValueError):
     """Raised when a bet would allow the capital to reach zero or below."""
 
@@ -48,8 +55,8 @@ class InvariantError(AssertionError):
 class Domain:
     """Compact outcome region.
 
-    kind is "box" or "sphere".  A box is given by component-wise bounds
-    lo < 0 < hi; a sphere (ball) by its radius.
+    kind is "box" or "sphere".  A box is given by finite component-wise
+    bounds lo < 0 < hi; a sphere (ball) by its positive finite radius.
     """
 
     d: int
@@ -66,13 +73,14 @@ class Domain:
             hi = np.asarray(self.hi, dtype=float)
             if lo.shape != (self.d,) or hi.shape != (self.d,):
                 raise ValueError("box bounds must have shape (d,)")
-            if not (np.all(lo < 0.0) and np.all(hi > 0.0)):
-                raise ValueError("box must contain the origin in its interior")
+            if not np.all(np.isfinite(lo) & (lo < 0.0)):
+                raise ValueError(f"lo must be negative and finite, got {lo}")
+            if not np.all(np.isfinite(hi) & (hi > 0.0)):
+                raise ValueError(f"hi must be positive and finite, got {hi}")
             object.__setattr__(self, "lo", lo)
             object.__setattr__(self, "hi", hi)
         elif self.kind == "sphere":
-            if self.radius is None or self.radius <= 0.0:
-                raise ValueError("radius must be positive")
+            _require_positive(radius=self.radius)
         else:
             raise ValueError(f"unknown domain kind {self.kind!r}")
 

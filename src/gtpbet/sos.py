@@ -377,7 +377,6 @@ def slln2_ratio(outcomes):
     out = np.full(len(s), np.nan)
     sign, logdet = np.linalg.slogdet(V)
     ok = (sign > 0.0) & (logdet > 0.0)
-    if np.any(ok):
-        sol = np.linalg.solve(V[ok], s[ok][..., None])[..., 0]
-        out[ok] = np.einsum("ni,ni->n", s[ok], sol) / logdet[ok]
+    sol = np.linalg.solve(V[ok], s[ok][..., None])[..., 0]
+    out[ok] = np.einsum("ni,ni->n", s[ok], sol) / logdet[ok]
     return out

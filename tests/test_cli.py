@@ -116,6 +116,9 @@ def test_holder_csv_bytes_equal_per_value_format(tmp_path):
             for r in rows
         )
         assert (tmp_path / name / "holder.csv").read_bytes() == want.encode()
+        if rows:  # the stopless radius reads N, trV_N, logK and delta * |alpha| as 0
+            first = (tmp_path / name / "holder.csv").read_text().splitlines()[1]
+            assert rows[0]["N"] == 0 and first == f"{0.9:.17g},0,0,0,0"
     assert rows == []
 
 
@@ -208,6 +211,29 @@ def test_seed_env_override(tmp_path, monkeypatch):
     assert (tmp_path / "a" / "ledger.csv").read_text() == (
         tmp_path / "d" / "ledger.csv"
     ).read_text()
+
+
+@pytest.mark.parametrize(
+    "cfg, message",
+    [
+        ({"scenario": "holder", "grid_step": "0.001", "delta": "0.02 inf"}, "delta must be positive"),
+        ({"scenario": "sos_synthetic", "N": "50", "halfwidth": "inf"}, "lo must be negative"),
+    ],
+)
+def test_scenarios_refuse_non_finite_geometry(tmp_path, cfg, message):
+    with pytest.raises(ValueError, match=f"^{message} and finite, got"):
+        run_scenario(cfg, tmp_path / "out")
+
+
+def test_package_exports_every_module_list():
+    modules = [gtpbet.baselines, gtpbet.continuous, gtpbet.domain, gtpbet.model_select,
+               gtpbet.optimizer, gtpbet.sos, gtpbet.transform]
+    names = [name for module in modules for name in module.__all__]
+    assert len(set(names)) == len(names)
+    assert gtpbet.__all__ == sorted(names)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(gtpbet, name) is getattr(module, name)
 
 
 def test_unknown_scenario(tmp_path):

@@ -256,6 +256,35 @@ def test_embed_constant_path():
     assert emb.outcomes.shape == (0, 1)
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_embed_without_a_stop(d):
+    # every move stays far inside delta, so the path has no stop
+    t = np.linspace(0.0, 1.0, 101)
+    values = 1.0 + 0.01 * np.sin(np.outer(t, np.arange(1, d + 1)) + 0.3)
+    emb = embed(PricePath(times=t, values=values), 0.5)
+    assert emb.N == 0
+    assert emb.stop_indices.size == 0 and emb.stop_indices.dtype == np.int64
+    assert emb.outcomes.shape == emb.raw_returns.shape == (0, d)
+    assert np.array_equal(emb.final_return, values[-1] / values[0] - 1.0)
+    logK, alpha = continuous._run_embedded_sos(emb)
+    assert logK == 0.0 and not math.copysign(1.0, logK) < 0.0
+    assert np.array_equal(alpha, np.zeros(d)) and not np.signbit(alpha).any()
+
+
+@pytest.mark.parametrize("delta", [0.0, -0.1, math.nan, math.inf])
+def test_embed_refuses_degenerate_delta(delta):
+    path = gen_gbm([0.0], [[0.3]], 1.0, 1e-3, 1)
+    with pytest.raises(ValueError, match="^delta must be positive and finite, got"):
+        embed(path, delta)
+
+
+@pytest.mark.parametrize("delta", [0.0, math.nan, math.inf])
+def test_girsanov_refuses_degenerate_delta(delta):
+    # refused before the grid step is formed from it
+    with pytest.raises(ValueError, match="^delta must be positive and finite, got"):
+        girsanov_rate_experiment([0.1], [[0.3]], 1.0, delta, 7)
+
+
 def test_embed_gbm_crossing_count():
     path = gen_gbm([0.0], [[0.3]], 1.0, 1e-6, 42)
     emb = embed(path, 0.005)

@@ -29,6 +29,22 @@ def test_box_requires_origin_interior():
         Domain.box([-1.0], [-0.5])
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Domain.box([-math.inf], [1.0]), "lo must be negative and finite"),
+        (lambda: Domain.box([-1.0, math.nan], [1.0, 1.0]), "lo must be negative and finite"),
+        (lambda: Domain.box([-1.0], [math.inf]), "hi must be positive and finite"),
+        (lambda: Domain.sphere(2, math.nan), "radius must be positive and finite"),
+        (lambda: Domain.sphere(2, math.inf), "radius must be positive and finite"),
+        (lambda: Domain.sphere(2, 0.0), "radius must be positive and finite"),
+    ],
+)
+def test_domain_refuses_non_finite_geometry(make, message):
+    with pytest.raises(ValueError, match=f"^{message}, got"):
+        make()
+
+
 def test_delta_bar_closed_forms():
     assert Domain.box([-1.0, -1.0], [1.0, 1.0]).delta_bar == pytest.approx(
         math.sqrt(2.0)

@@ -241,6 +241,12 @@ def test_slln2_scalar_formula():
     assert ratios[n] == pytest.approx(s * s / ((n + 1) * math.log(n + 1)))
 
 
+def test_slln2_without_an_invertible_round():
+    # small moves keep log |V_n| negative on every round, as does no round at all
+    assert np.isnan(slln2_ratio(np.full((5, 2), 0.01))).all()
+    assert slln2_ratio(np.zeros((0, 2))).shape == (0,)
+
+
 def test_slln2_detects_drift():
     rng = np.random.default_rng(4)
     path = (rng.uniform(-0.5, 0.5, size=(10_000, 2)) + 0.2).clip(-0.9, 0.9)
