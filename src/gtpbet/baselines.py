@@ -1,9 +1,8 @@
-"""Comparison strategies: fixed proportions, Cover's universal portfolio,
-and the analytic optimal growth rate under geometric Brownian motion."""
+"""Comparison strategies: Cover's universal portfolio and the analytic
+optimal growth rate under geometric Brownian motion."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,22 +11,10 @@ from .domain import CollateralError, as_path
 
 __all__ = [
     "UniversalPortfolioConfig",
-    "constant_strategy_capital",
     "universal_portfolio",
     "universal_portfolio_curves",
     "kelly_gbm_rate",
 ]
-
-
-def constant_strategy_capital(alpha, path) -> float:
-    """Final log capital (nats) of the constant proportion alpha."""
-    alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
-    path = as_path(path, alpha.size)
-    r = 1.0 + path @ alpha
-    bad = np.nonzero(r <= 0.0)[0]
-    if bad.size:
-        raise CollateralError(f"collateral violated at round {bad[0] + 1}")
-    return float(np.sum(np.log(r)))
 
 
 @dataclass(frozen=True)
@@ -105,24 +92,11 @@ def universal_portfolio_curves(M: int, path) -> tuple[np.ndarray, np.ndarray]:
     return plain, trained
 
 
-def kelly_gbm_rate(mu, sigma, partition=None):
-    """Optimal exponential growth rate 0.5 mu' (sigma sigma')^{-1} mu.
-
-    With a partition (list of index groups) also returns the sum of the
-    group-wise rates, each computed from the corresponding sub-blocks of
-    mu and sigma sigma'.
-    """
+def kelly_gbm_rate(mu, sigma):
+    """Optimal exponential growth rate 0.5 mu' (sigma sigma')^{-1} mu."""
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
     cov = sigma @ sigma.T
     if abs(np.linalg.det(cov)) < 1e-300:
         raise np.linalg.LinAlgError("sigma sigma' is singular")
-    rate = 0.5 * float(mu @ np.linalg.solve(cov, mu))
-    if partition is None:
-        return rate
-    part_sum = 0.0
-    for group in partition:
-        idx = np.asarray(group, dtype=int)
-        sub = cov[np.ix_(idx, idx)]
-        part_sum += 0.5 * float(mu[idx] @ np.linalg.solve(sub, mu[idx]))
-    return rate, part_sum
+    return 0.5 * float(mu @ np.linalg.solve(cov, mu))

@@ -17,6 +17,7 @@ overrides the configured seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -27,7 +28,7 @@ import numpy as np
 
 from .baselines import universal_portfolio_curves
 from .continuous import gen_gbm, girsanov_rate_experiment, gen_fbm, holder_experiment
-from .domain import Domain, GameConfig, make_training, write_csv
+from .domain import Domain, GameConfig, _require_positive, make_training, write_csv
 from .model_select import select_dimension
 from .sos import sos_run
 from .transform import read_price_csv, transform_returns
@@ -55,11 +56,23 @@ def _fnum(cfg, key, default=None):
     return float(cfg[key])
 
 
+def _inum(cfg, key, default):
+    """cfg[key], or default, as an int: a whole number such as 7, 7.0 or
+    7e0 (an integer literal exactly, whatever its size); any other value
+    raises ValueError naming the key and the value."""
+    value = cfg.get(key, default)
+    with contextlib.suppress(ValueError):
+        return int(str(value))
+    with contextlib.suppress(ValueError):
+        if float(value).is_integer():
+            return int(float(value))
+    raise ValueError(f"{key} must be an integer, got {value!r}")
+
+
 def _seed(cfg) -> int:
-    env = os.environ.get("GTPBET_SEED")
-    if env is not None:
-        return int(env)
-    return int(cfg.get("seed", "0"))
+    if "GTPBET_SEED" in os.environ:
+        return _inum(os.environ, "GTPBET_SEED", 0)
+    return _inum(cfg, "seed", 0)
 
 
 def _imaginary_path(n_rounds: int) -> np.ndarray:
@@ -72,7 +85,7 @@ def _unit_corner_game() -> GameConfig:
 
 
 def _imaginary(cfg, seed, outdir):
-    res = sos_run(_unit_corner_game(), _imaginary_path(int(_fnum(cfg, "N", 2000))))
+    res = sos_run(_unit_corner_game(), _imaginary_path(_inum(cfg, "N", 2000)))
     res.ledger.to_csv(
         outdir / "ledger.csv",
         series_path=outdir / "series.csv",
@@ -101,8 +114,8 @@ def _sos_csv(cfg, seed, outdir):
 
 
 def _sos_synthetic(cfg, seed, outdir):
-    d = int(_fnum(cfg, "d", 1))
-    n_rounds = int(_fnum(cfg, "N", 1000))
+    d = _inum(cfg, "d", 1)
+    n_rounds = _inum(cfg, "N", 1000)
     half = _fnum(cfg, "halfwidth", 0.5)
     rng = np.random.default_rng(seed)
     dom = Domain.box(-half * np.ones(d), half * np.ones(d))
@@ -116,11 +129,11 @@ def _sos_synthetic(cfg, seed, outdir):
 
 
 def _universal_compare(cfg, seed, outdir):
-    n_rounds = int(_fnum(cfg, "N", 500))
+    n_rounds, n_accounts = _inum(cfg, "N", 500), _inum(cfg, "M", 100)
     rng = np.random.default_rng(seed)
     path = rng.uniform(-0.8, 0.8, size=(n_rounds, 1))
     res = sos_run(_unit_corner_game(), path)
-    up0, up1 = universal_portfolio_curves(int(_fnum(cfg, "M", 100)), path)
+    up0, up1 = universal_portfolio_curves(n_accounts, path)
     res.ledger.to_csv(outdir / "ledger.csv")
     # K1 by math.exp per value: np.exp rounds some values differently
     write_csv(outdir / "universal.csv", {
@@ -137,6 +150,9 @@ def _universal_compare(cfg, seed, outdir):
 
 def _holder(cfg, seed, outdir):
     hurst = _fnum(cfg, "H", 0.5)
+    deltas = [float(v) for v in cfg.get("delta", "0.02 0.01 0.005").split()]
+    for delta in deltas:  # before the path is synthesized
+        _require_positive(delta=delta)
     path = gen_fbm(
         hurst,
         _fnum(cfg, "scale", 0.12),
@@ -144,7 +160,6 @@ def _holder(cfg, seed, outdir):
         _fnum(cfg, "grid_step", 1e-5),
         seed,
     )
-    deltas = [float(v) for v in cfg.get("delta", "0.02 0.01 0.005").split()]
     rows, hs = holder_experiment(path, deltas)
     # names from a fixed tuple, so that an empty grid writes the header
     write_csv(outdir / "holder.csv", {
@@ -155,7 +170,7 @@ def _holder(cfg, seed, outdir):
 
 
 def _girsanov(cfg, seed, outdir):
-    d = int(_fnum(cfg, "d", 1))
+    d = _inum(cfg, "d", 1)
     mu = np.full(d, _fnum(cfg, "mu", 0.1))
     sigma = np.eye(d) * _fnum(cfg, "sigma", 0.3)
     return girsanov_rate_experiment(
@@ -164,8 +179,8 @@ def _girsanov(cfg, seed, outdir):
 
 
 def _model_select(cfg, seed, outdir):
-    d_max = int(_fnum(cfg, "d_max", 3))
-    n_rounds = int(_fnum(cfg, "N", 300))
+    d_max = _inum(cfg, "d_max", 3)
+    n_rounds = _inum(cfg, "N", 300)
     rng = np.random.default_rng(seed)
     drift = rng.uniform(0.05, 0.2, size=d_max)
     path = np.clip(

@@ -17,8 +17,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .domain import (
-    Domain, GameConfig, InvariantError, _read_csv, _require_positive, as_prices,
-    make_training, write_csv,
+    Domain, GameConfig, InvariantError, _require_positive, as_prices, make_training,
 )
 from .sos import sos_capital_fast
 
@@ -58,20 +57,6 @@ class PricePath:
     @property
     def T(self) -> float:
         return float(self.times[-1])
-
-    def to_csv(self, path) -> None:
-        """Write the columns time, S1..Sd with write_csv."""
-        prices = {f"S{j + 1}": v for j, v in enumerate(self.values.T)}
-        write_csv(path, {"time": self.times} | prices)
-
-    @classmethod
-    def from_csv(cls, path) -> "PricePath":
-        """The path that to_csv wrote: a header row, then a time and the
-        prices on each line.  A malformed line, or one whose time is not
-        after the previous line's, raises ValueError naming it and the
-        cause, as in read_price_csv."""
-        data = _read_csv(path, 0)
-        return cls(times=data[:, 0], values=data[:, 1:])
 
 
 @dataclass(frozen=True)
@@ -296,14 +281,24 @@ def _grid(T, grid_step):
     return K, T / K
 
 
-def gen_gbm(mu, sigma, T, grid_step, seed, s0=1.0) -> PricePath:
-    """Exact log-Euler geometric Brownian motion, bit-reproducible by seed.
+def _gbm_params(mu, sigma):
+    """mu as a vector and sigma as a matrix of floats; a NaN or infinite
+    entry raises ValueError naming mu or sigma."""
+    mu = np.atleast_1d(np.asarray(mu, dtype=float))
+    sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
+    for name, value in (("mu", mu), ("sigma", sigma)):
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} must be finite, got {value.tolist()}")
+    return mu, sigma
+
+
+def gen_gbm(mu, sigma, T, grid_step, seed) -> PricePath:
+    """Exact log-Euler geometric Brownian motion from 1, bit-reproducible by seed.
 
     The normal draws are scaled in place and the log path is summed
     straight into the returned array, so at most two arrays of the path's
     size are alive at once."""
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
+    mu, sigma = _gbm_params(mu, sigma)
     d = mu.size
     if abs(np.linalg.det(sigma)) == 0.0:
         raise np.linalg.LinAlgError("volatility matrix is singular")
@@ -319,7 +314,6 @@ def gen_gbm(mu, sigma, T, grid_step, seed, s0=1.0) -> PricePath:
     np.cumsum(incr, axis=0, out=values[1:])
     del incr
     np.exp(values, out=values)
-    values *= float(s0)
     return PricePath(times=np.linspace(0.0, T, K + 1), values=values)
 
 
@@ -400,11 +394,11 @@ def _fgn_davies_harte(n, hurst, rng, dtype=np.float64):
     return buf[:n]
 
 
-def gen_fbm(hurst, scale, T, grid_step, seed, s0=1.0, d=1, dtype=np.float64) -> PricePath:
-    """Exponential of fractional Brownian motion, one independent fBm per
-    component.  Circulant (Davies-Harte) embedding gives exact increment
-    covariance.  The noise of each component is synthesized in one
-    buffer of 2K values of dtype and then summed in place into the float64
+def gen_fbm(hurst, scale, T, grid_step, seed, d=1, dtype=np.float64) -> PricePath:
+    """Exponential of fractional Brownian motion from 1, one independent
+    fBm per component.  Circulant (Davies-Harte) embedding gives exact
+    increment covariance.  The noise of each component is synthesized in
+    one buffer of 2K values of dtype and then summed in place into the float64
     path.  The synthesis peaks at about three buffers of 2K values of dtype
     (the buffer, pocketfft's plan, which SciPy keeps cached, and its
     scratch); dtype=float32 halves that, but not the (K+1) x d float64
@@ -421,7 +415,6 @@ def gen_fbm(hurst, scale, T, grid_step, seed, s0=1.0, d=1, dtype=np.float64) -> 
         paths[:, j] *= h**hurst
     paths *= scale
     np.exp(paths, out=paths)
-    paths *= float(s0)
     return PricePath(times=np.linspace(0.0, T, K + 1), values=paths)
 
 
@@ -486,8 +479,7 @@ def girsanov_rate_experiment(mu, sigma, T, delta, seed):
     from .baselines import kelly_gbm_rate
 
     _require_positive(delta=delta)
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
+    mu, sigma = _gbm_params(mu, sigma)
     smax = float(np.max(np.linalg.norm(sigma, axis=1)))
     path = gen_gbm(mu, sigma, T, (delta / (5.0 * smax)) ** 2, seed)
     emb = embed(path, delta)

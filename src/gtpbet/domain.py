@@ -100,10 +100,6 @@ class Domain:
             return float(np.sqrt(np.sum(np.maximum(-self.lo, self.hi) ** 2)))
         return float(self.radius)
 
-    def contains(self, x) -> bool:
-        x = np.asarray(x, dtype=float)
-        return x.shape == (self.d,) and bool(self.contains_rows(x[None])[0])
-
     def contains_rows(self, path) -> np.ndarray:
         """Membership of every row of an (N, d) array, as N booleans."""
         if self.kind == "box":
@@ -283,11 +279,9 @@ def write_csv(path, columns) -> None:
             fh.writelines(row % r for r in zip(*(c[lo : lo + _CSV_ROWS].tolist() for c in cols)))
 
 
-def _read_csv(path, first) -> np.ndarray:
-    """The numbers in columns first+1.. (from 1) of a CSV with a header
-    row, one array row per line; see read_price_csv for the errors.  With
-    first = 0, column 1 is a time, and a row whose time is not after the
-    previous row's raises ValueError naming its line too."""
+def _read_csv(path) -> np.ndarray:
+    """The numbers in columns 2.. of a CSV with a header row, one array
+    row per line; see read_price_csv for the errors."""
     rows, lines = [], []
     with open(path) as fh:
         header = fh.readline()
@@ -305,9 +299,9 @@ def _read_csv(path, first) -> np.ndarray:
                     f"line {lineno}: {len(parts)} columns where the header has {width}"
                 )
             try:  # float() ignores the whitespace around a cell
-                rows.append(list(map(float, parts[first:])))
+                rows.append(list(map(float, parts[1:])))
             except ValueError:
-                raise ValueError(f"line {lineno}: {_bad_cell(parts, first)}") from None
+                raise ValueError(f"line {lineno}: {_bad_cell(parts)}") from None
             lines.append(lineno)
     if not rows:
         raise ValueError("no price rows found")
@@ -315,24 +309,14 @@ def _read_csv(path, first) -> np.ndarray:
     ok = np.isfinite(data)
     if not ok.all():
         i, j = np.argwhere(~ok)[0]
-        raise ValueError(
-            f"line {lines[i]}: non-finite value {float(data[i, j])} in column {first + j + 1}"
-        )
-    if first == 0:
-        later = data[1:, 0] > data[:-1, 0]
-        if not later.all():
-            i = int(np.argmin(later)) + 1
-            raise ValueError(
-                f"line {lines[i]}: time {float(data[i, 0])} is not after "
-                f"{float(data[i - 1, 0])} on line {lines[i - 1]}"
-            )
+        raise ValueError(f"line {lines[i]}: non-finite value {data[i, j]} in column {j + 2}")
     return data
 
 
-def _bad_cell(parts, first) -> str:
-    """The cause for the first cell from column first+1 on (from 1) of a
-    row that float() refuses."""
-    for j, v in enumerate(parts[first:], start=first + 1):
+def _bad_cell(parts) -> str:
+    """The cause for the first cell from column 2 on of a row that float()
+    refuses."""
+    for j, v in enumerate(parts[1:], start=2):
         try:
             float(v)
         except ValueError:

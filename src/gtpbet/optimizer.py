@@ -69,12 +69,7 @@ class PhiSolution:
     iterations: int
 
 
-def solve_phi(
-    problem: PhiProblem,
-    warm_start=None,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-) -> PhiSolution:
+def solve_phi(problem: PhiProblem, tol: float = 1e-10) -> PhiSolution:
     """Damped Newton ascent by the self-concordant step rule.
 
     -phi is a sum of log barriers, so the Newton decrement
@@ -83,15 +78,14 @@ def solve_phi(
     lam <= 0.68 and the step 1/(1 + lam) of it otherwise; both keep the
     iterates in the open feasible set and increase phi, with no function
     value and no line search.  Terminates when the gradient norm drops
-    to tol.  This is the one-history case of the batched solve behind
-    the exact run.
+    to tol, starting at the origin.  This is the one-history case of the
+    batched solve behind the exact run.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     X = problem.outcomes
-    start = np.zeros(problem.d) if warm_start is None else np.asarray(warm_start, dtype=float)
     alpha, phi, gnorm, hess, its = _newton_rows(
-        X, _outer_rows(X), np.array([problem.m]), start, tol, max_iter
+        X, _outer_rows(X), np.array([problem.m]), np.zeros(problem.d), tol, 200
     )
     return PhiSolution(
         alpha_star=alpha[0],
@@ -228,14 +222,12 @@ def kl_capital_identity(problem: PhiProblem, sol: PhiSolution, dist: RiskNeutral
     return kl, check
 
 
-def appendix_yn(outcomes, with_tilde: bool = False):
+def appendix_yn(outcomes):
     """Norms of y_n = (u_1 u_1' + ... + u_{n-1} u_{n-1}')^{-1} u_n.
 
     The matrices are the running moments of the outcomes after the first
     d, started from those d, and every y_n comes from one batched solve.
     Requires ||u_n|| <= 1 and the first d outcomes linearly independent.
-    With with_tilde=True also returns u_n' y_n (the squared norm of the
-    half-power analogue).
     """
     U = as_path(outcomes)
     d = U.shape[1]
@@ -246,7 +238,4 @@ def appendix_yn(outcomes, with_tilde: bool = False):
         raise ValueError("first d outcomes must be linearly independent")
     A = running_moments(tail, V0=head.T @ head)[1][:-1]
     y = np.linalg.solve(A, tail[:, :, None])[:, :, 0]
-    norms = np.linalg.norm(y, axis=1)
-    if with_tilde:
-        return norms, np.einsum("ni,ni->n", tail, y)
-    return norms
+    return np.linalg.norm(y, axis=1)

@@ -279,8 +279,8 @@ def deficiency_constants(config: GameConfig):
     make_training builds, recognised from the points: points on the
     coordinate axes (at most one nonzero component each), and the sign
     corners of their bounding box [lo, hi], all 2^d of them, repeats
-    allowed.  Either needs lo < 0 < hi.  Any other training set solves one
-    linear program per point with SciPy's linprog.
+    allowed.  Either needs lo < 0 < hi; a training set of any other shape
+    raises ValueError.
     """
     train = config.training.points
     d = config.domain.d
@@ -316,17 +316,10 @@ def _max_inner_over_polytope(train):
             corners = np.unique(codes).size == 2**d
         if on_axes or corners:
             return float(np.max(np.maximum(hi / -lo, -lo / hi)))
-    from scipy.optimize import linprog
-
-    best = 0.0
-    A_ub = -train  # -x_i . alpha <= 1
-    b_ub = np.ones(n0)
-    for i in range(n0):
-        res = linprog(-train[i], A_ub=A_ub, b_ub=b_ub, bounds=[(None, None)] * d)
-        if not res.success:
-            raise RuntimeError("training polytope LP failed")
-        best = max(best, -res.fun)
-    return best
+    raise ValueError(
+        "training set must be points on the coordinate axes or the 2^d "
+        "sign corners of a box [lo, hi], with lo < 0 < hi"
+    )
 
 
 def deficiency_bounds(result: SosResult):

@@ -26,14 +26,6 @@ class ReturnTransform:
     F: int
     rho: np.ndarray
 
-    def to_unit(self, returns) -> np.ndarray:
-        returns = np.atleast_2d(np.asarray(returns, dtype=float))
-        return (2.0 * returns - self.s_max - self.s_min) / (self.s_max - self.s_min)
-
-    def from_unit(self, z) -> np.ndarray:
-        z = np.atleast_2d(np.asarray(z, dtype=float))
-        return 0.5 * (z * (self.s_max - self.s_min) + self.s_max + self.s_min)
-
 
 def transform_returns(prices, c: float):
     """Build (outcomes, GameConfig, ReturnTransform) from a price table.
@@ -75,4 +67,4 @@ def read_price_csv(path) -> np.ndarray:
     (ignored), columns 2..d+1 are prices.  A row whose column count is not
     the header's, or with a price cell that is empty, not a number, NaN
     or infinite, raises ValueError naming its line in the file."""
-    return _read_csv(path, 1)
+    return _read_csv(path)

@@ -8,7 +8,6 @@ from gtpbet import (
     CollateralError,
     PhiProblem,
     UniversalPortfolioConfig,
-    constant_strategy_capital,
     kelly_gbm_rate,
     solve_phi,
     universal_portfolio,
@@ -17,24 +16,12 @@ from gtpbet import (
 from gtpbet.baselines import _UP_ROWS
 
 
-def test_constant_strategy_basics():
-    rng = np.random.default_rng(0)
-    path = rng.uniform(-0.5, 0.5, size=(50, 1))
-    assert constant_strategy_capital([0.0], path) == 0.0
-    # symmetry: negating both alpha and the path leaves capital unchanged
-    assert constant_strategy_capital([0.3], path) == pytest.approx(
-        constant_strategy_capital([-0.3], -path)
-    )
-    with pytest.raises(CollateralError):
-        constant_strategy_capital([2.0], np.array([[0.1], [-0.6]]))
-
-
 def test_constant_strategy_matches_hindsight_optimum():
     rng = np.random.default_rng(1)
     xs = rng.uniform(-0.8, 0.8, size=100)
     X = np.concatenate([[-1.0, 1.0], xs])[:, None]
     sol = solve_phi(PhiProblem(X))
-    live = constant_strategy_capital(sol.alpha_star, xs[:, None])
+    live = float(np.sum(np.log1p(sol.alpha_star[0] * xs)))
     training_part = math.log(1.0 - sol.alpha_star[0]) + math.log(
         1.0 + sol.alpha_star[0]
     )
@@ -168,9 +155,9 @@ def test_universal_portfolio_rejects_multidim():
 def test_kelly_rate_values():
     assert kelly_gbm_rate([0.0, 0.0], np.eye(2)) == 0.0
     assert kelly_gbm_rate([0.1], [[0.3]]) == pytest.approx(0.1**2 / (2 * 0.09))
-    rate, part = kelly_gbm_rate(
-        [0.1, 0.2], np.diag([0.3, 0.5]), partition=[[0], [1]]
+    # independent items: the rate is the sum of the one-item rates
+    assert kelly_gbm_rate([0.1, 0.2], np.diag([0.3, 0.5])) == pytest.approx(
+        kelly_gbm_rate([0.1], [[0.3]]) + kelly_gbm_rate([0.2], [[0.5]])
     )
-    assert part == pytest.approx(rate)
     with pytest.raises(np.linalg.LinAlgError):
         kelly_gbm_rate([0.1, 0.1], np.ones((2, 2)))

@@ -1,6 +1,8 @@
+import ast
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -225,15 +227,84 @@ def test_scenarios_refuse_non_finite_geometry(tmp_path, cfg, message):
         run_scenario(cfg, tmp_path / "out")
 
 
+@pytest.mark.parametrize("delta", ["0.02 0.01 inf", "nan 0.02", "0.02 -0.01", "0"])
+def test_holder_checks_every_delta_before_the_path(tmp_path, monkeypatch, delta):
+    import gtpbet.cli as cli
+
+    def no_path(*args, **kwargs):
+        raise AssertionError("the fBm path was synthesized before delta was checked")
+
+    monkeypatch.setattr(cli, "gen_fbm", no_path)
+    with pytest.raises(ValueError, match="^delta must be positive and finite, got"):
+        run_scenario({"scenario": "holder", "delta": delta}, tmp_path / "out")
+
+
+@pytest.mark.parametrize(
+    "cfg, key",
+    [
+        ({"scenario": "imaginary", "N": "20.5"}, "N"),
+        ({"scenario": "imaginary", "N": 20.5}, "N"),
+        ({"scenario": "sos_synthetic", "N": "50", "d": "1.7"}, "d"),
+        ({"scenario": "model_select", "d_max": "2.5"}, "d_max"),
+        ({"scenario": "universal_compare", "N": "50", "M": "ten"}, "M"),
+        ({"scenario": "sos_synthetic", "N": "50", "seed": "3.5"}, "seed"),
+    ],
+)
+def test_integer_keys_refuse_a_non_integer(tmp_path, monkeypatch, cfg, key):
+    monkeypatch.delenv("GTPBET_SEED", raising=False)
+    message = f"{key} must be an integer, got {cfg[key]!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_scenario(cfg, tmp_path / "out")
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
+def test_seed_env_refuses_a_non_integer(tmp_path, monkeypatch):
+    monkeypatch.setenv("GTPBET_SEED", "1e-3")
+    with pytest.raises(ValueError, match="^GTPBET_SEED must be an integer, got '1e-3'$"):
+        run_scenario({"scenario": "imaginary", "N": "20"}, tmp_path / "out")
+
+
+def test_integer_keys_take_whole_numbers_in_any_form(tmp_path, monkeypatch):
+    monkeypatch.delenv("GTPBET_SEED", raising=False)
+    plain = {"scenario": "sos_synthetic", "d": "2", "N": "50", "seed": "3"}
+    run_scenario(plain, tmp_path / "a")
+    run_scenario(plain | {"d": "2.0", "N": "5e1", "seed": " 3 "}, tmp_path / "b")
+    monkeypatch.setenv("GTPBET_SEED", "3.0")
+    run_scenario(plain | {"seed": "8"}, tmp_path / "c")
+    want = (tmp_path / "a" / "ledger.csv").read_bytes()
+    assert (tmp_path / "b" / "ledger.csv").read_bytes() == want
+    assert (tmp_path / "c" / "ledger.csv").read_bytes() == want
+
+
+MODULES = [gtpbet.baselines, gtpbet.continuous, gtpbet.domain, gtpbet.model_select,
+           gtpbet.optimizer, gtpbet.sos, gtpbet.transform]
+
+
 def test_package_exports_every_module_list():
-    modules = [gtpbet.baselines, gtpbet.continuous, gtpbet.domain, gtpbet.model_select,
-               gtpbet.optimizer, gtpbet.sos, gtpbet.transform]
-    names = [name for module in modules for name in module.__all__]
+    names = [name for module in MODULES for name in module.__all__]
     assert len(set(names)) == len(names)
     assert gtpbet.__all__ == sorted(names)
-    for module in modules:
+    for module in MODULES:
         for name in module.__all__:
             assert getattr(gtpbet, name) is getattr(module, name)
+
+
+def test_every_public_name_has_a_caller_beyond_the_unit_tests():
+    # a public name is kept only while the package's code, a demo, a
+    # perfbench file or the acceptance suite uses it: a name or attribute
+    # in their code counts, its def or class statement, its __all__ entry,
+    # an import and a docstring do not
+    root = Path(__file__).resolve().parent.parent
+    files = [*Path(gtpbet.__file__).parent.glob("*.py"), *root.glob("demos/*.py"),
+             *root.glob("perfbench/*.py"), root / "tests" / "test_acceptance.py"]
+    used = set()
+    for f in files:
+        for node in ast.walk(ast.parse(f.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert sorted(set(gtpbet.__all__) - used) == []
 
 
 def test_unknown_scenario(tmp_path):

@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -285,6 +286,25 @@ def test_girsanov_refuses_degenerate_delta(delta):
         girsanov_rate_experiment([0.1], [[0.3]], 1.0, delta, 7)
 
 
+@pytest.mark.parametrize(
+    "mu, sigma, name",
+    [
+        ([math.nan], [[0.3]], "mu"),
+        ([math.inf], [[0.3]], "mu"),
+        ([0.1], [[math.inf]], "sigma"),
+        ([0.1], [[math.nan]], "sigma"),
+    ],
+)
+def test_gbm_refuses_non_finite_drift_or_volatility(mu, sigma, name):
+    # refused before the grid step is formed from sigma or det warns on it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got"):
+            girsanov_rate_experiment(mu, sigma, 1.0, 0.5, 7)
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got"):
+            gen_gbm(mu, sigma, 1.0, 0.01, 7)
+
+
 def test_embed_gbm_crossing_count():
     path = gen_gbm([0.0], [[0.3]], 1.0, 1e-6, 42)
     emb = embed(path, 0.005)
@@ -412,7 +432,7 @@ def _reference_fgn(n, hurst, rng, dtype):
     return fft.irfft(spec, n=m)[:n]
 
 
-def _reference_fbm(hurst, scale, T, grid_step, seed, s0, d, dtype):
+def _reference_fbm(hurst, scale, T, grid_step, seed, d, dtype):
     """exp of the scaled running sums of the plain noise, one column each."""
     K = int(math.ceil(T / grid_step))
     h = T / K
@@ -422,10 +442,10 @@ def _reference_fbm(hurst, scale, T, grid_step, seed, s0, d, dtype):
         * h**hurst
         for _ in range(d)
     ]
-    return np.linspace(0.0, T, K + 1), float(s0) * np.exp(scale * np.stack(cols, axis=1))
+    return np.linspace(0.0, T, K + 1), np.exp(scale * np.stack(cols, axis=1))
 
 
-def _reference_gbm(mu, sigma, T, grid_step, seed, s0):
+def _reference_gbm(mu, sigma, T, grid_step, seed):
     """Plain log-Euler GBM: increments, their stacked running sum, exp."""
     mu = np.asarray(mu, dtype=float)
     K = int(math.ceil(T / grid_step))
@@ -434,7 +454,7 @@ def _reference_gbm(mu, sigma, T, grid_step, seed, s0):
     drift = (mu - 0.5 * np.diag(sigma @ sigma.T)) * h
     incr = drift[None, :] + math.sqrt(h) * z @ sigma.T
     logS = np.vstack([np.zeros(mu.size), np.cumsum(incr, axis=0)])
-    return np.linspace(0.0, T, K + 1), float(s0) * np.exp(logS)
+    return np.linspace(0.0, T, K + 1), np.exp(logS)
 
 
 _FBM_CASES = [
@@ -453,8 +473,8 @@ def test_gen_fbm_bit_identical_to_plain_synthesis(K, hurst, d, dtype):
     # transform length with large prime factors, and H = 0.25 and 0.5 hit
     # NumPy's sqrt and identity shortcuts for ** 0.5 and ** 1
     step = 2.0**-20
-    p = gen_fbm(hurst, 0.2, K * step, step, 17, s0=2.5, d=d, dtype=dtype)
-    times, values = _reference_fbm(hurst, 0.2, K * step, step, 17, 2.5, d, dtype)
+    p = gen_fbm(hurst, 0.2, K * step, step, 17, d=d, dtype=dtype)
+    times, values = _reference_fbm(hurst, 0.2, K * step, step, 17, d, dtype)
     assert np.array_equal(p.times, times)
     assert np.array_equal(p.values, values)
 
@@ -464,8 +484,8 @@ def test_gen_gbm_bit_identical_to_plain_synthesis(d):
     sigma = np.array([[0.3, 0.1, 0.0], [-0.05, 0.2, 0.02], [0.1, -0.1, 0.25]])[:d, :d]
     mu = [0.1, -0.05, 0.02][:d]
     for T, grid_step in ((1.0, 0.01), (3.0, 1e-5)):
-        p = gen_gbm(mu, sigma, T, grid_step, 9, s0=2.5)
-        times, values = _reference_gbm(mu, sigma, T, grid_step, 9, 2.5)
+        p = gen_gbm(mu, sigma, T, grid_step, 9)
+        times, values = _reference_gbm(mu, sigma, T, grid_step, 9)
         assert np.array_equal(p.times, times)
         assert np.array_equal(p.values, values)
 
@@ -527,73 +547,6 @@ def test_girsanov_zero_drift():
     cost = 0.5 * math.log(out["N"]) / T
     assert out["logK_over_T"] < 0.05
     assert out["logK_over_T"] > -cost - 5.0 / T
-
-
-def test_price_path_csv_roundtrip(tmp_path):
-    p = gen_gbm([0.1], [[0.3]], 1.0, 0.05, 2)
-    f = tmp_path / "path.csv"
-    p.to_csv(f)
-    q = PricePath.from_csv(f)
-    np.testing.assert_allclose(q.values, p.values, rtol=1e-15)
-    np.testing.assert_allclose(q.times, p.times, rtol=1e-15)
-
-
-def test_price_path_csv_bytes_equal_per_value_format(tmp_path):
-    # d = 2 on a non-uniform grid; 17 significant digits read back exactly
-    rng = np.random.default_rng(6)
-    values = np.exp(0.1 * rng.standard_normal((40, 2)))
-    values[0] = [1e-300, 1e300]
-    p = PricePath(times=np.cumsum(rng.uniform(1e-3, 0.1, 40)), values=values)
-    f = tmp_path / "path.csv"
-    p.to_csv(f)
-    want = "time,S1,S2\n" + "".join(
-        f"{format(t, '.17g')},{format(a, '.17g')},{format(b, '.17g')}\n"
-        for t, (a, b) in zip(p.times.tolist(), p.values.tolist())
-    )
-    assert f.read_bytes() == want.encode()
-    q = PricePath.from_csv(f)
-    np.testing.assert_array_equal(q.times, p.times)
-    np.testing.assert_array_equal(q.values, p.values)
-
-
-@pytest.mark.parametrize(
-    "row, cause",
-    [
-        ("0.2,", "line 3: empty cell in column 2"),
-        ("0.2,x", "line 3: non-numeric cell 'x' in column 2"),
-        (",1.1", "line 3: empty cell in column 1"),
-        ("0.2", "line 3: 1 columns where the header has 2"),
-        ("0.2,1.1,1.2", "line 3: 3 columns where the header has 2"),
-    ],
-)
-def test_price_path_csv_names_a_bad_line(tmp_path, row, cause):
-    f = tmp_path / "path.csv"
-    f.write_text(f"time,S1\n0.1,1.0\n{row}\n0.3,1.2\n")
-    with pytest.raises(ValueError, match=f"^{cause}$"):
-        PricePath.from_csv(f)
-
-
-@pytest.mark.parametrize(
-    "row, cause",
-    [
-        ("0.2,nan", "line 3: non-finite value nan in column 2"),
-        ("inf,1.1", "line 3: non-finite value inf in column 1"),
-        ("0.1,1.1", "line 3: time 0.1 is not after 0.1 on line 2"),
-        ("0.05,1.1", "line 3: time 0.05 is not after 0.1 on line 2"),
-    ],
-)
-def test_price_path_csv_names_a_bad_value_or_time(tmp_path, row, cause):
-    f = tmp_path / "path.csv"
-    f.write_text(f"time,S1\n0.1,1.0\n{row}\n0.3,1.2\n")
-    with pytest.raises(ValueError, match=f"^{cause}$"):
-        PricePath.from_csv(f)
-
-
-def test_price_path_csv_needs_a_row(tmp_path):
-    f = tmp_path / "path.csv"
-    f.write_text("time,S1\n")
-    with pytest.raises(ValueError, match="^no price rows found$"):
-        PricePath.from_csv(f)
 
 
 def test_price_path_validation():

@@ -55,11 +55,9 @@ def test_delta_bar_closed_forms():
 
 def test_contains_with_boundary_slack():
     dom = Domain.box([-1.0], [1.0])
-    assert dom.contains([1.0 + 5e-13])
-    assert not dom.contains([1.0 + 1e-6])
+    assert dom.contains_rows(np.array([[1.0 + 5e-13], [1.0 + 1e-6]])).tolist() == [True, False]
     sph = Domain.sphere(2, 1.0)
-    assert sph.contains([1.0, 0.0])
-    assert not sph.contains([0.8, 0.8])
+    assert sph.contains_rows(np.array([[1.0, 0.0], [0.8, 0.8]])).tolist() == [True, False]
 
 
 def test_max_growth_constant_symmetric_is_two():

@@ -67,12 +67,6 @@ def test_imaginary_data_alpha_positive_increasing():
     assert stars[0] < stars[1] < stars[2]
 
 
-def test_infeasible_warm_start_recovers():
-    prob = make_problem([0.5, 0.2, -0.1])
-    sol = solve_phi(prob, warm_start=[50.0])
-    assert abs(sol.alpha_star[0] - grid_argmax(prob.outcomes)) < 2e-5
-
-
 def test_risk_neutral_zero_alpha_is_empirical():
     prob = make_problem([0.3, -0.3], training=(2.0, -2.0))
     sol = solve_phi(prob)
@@ -178,20 +172,6 @@ def test_appendix_yn_decay_trend():
     U /= np.linalg.norm(U, axis=1, keepdims=True)
     norms = appendix_yn(U)
     assert np.median(norms[-500:]) < 0.1 * np.median(norms[:500])
-
-
-def test_appendix_tilde_identity():
-    rng = np.random.default_rng(19)
-    U = rng.standard_normal((400, 3))
-    U /= np.linalg.norm(U, axis=1, keepdims=True) * 1.01
-    norms, tilde = appendix_yn(U, with_tilde=True)
-    # u' y equals || A^{-1/2} u ||^2; verify from scratch at a few rounds
-    for i in (10, 100, 399):
-        A = U[:i].T @ U[:i]
-        w, Q = np.linalg.eigh(A)
-        half_inv = Q @ np.diag(w**-0.5) @ Q.T
-        direct = float(np.sum((half_inv @ U[i]) ** 2))
-        assert abs(direct - tilde[i - 3]) < 1e-10
 
 
 def test_appendix_yn_rejects_bad_input():

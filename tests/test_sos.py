@@ -15,7 +15,6 @@ from gtpbet import (
     PhiProblem,
     SolverError,
     TrainingSet,
-    constant_strategy_capital,
     deficiency_bounds,
     deficiency_constants,
     make_training,
@@ -160,17 +159,10 @@ def _training_shapes(rng):
             yield np.vstack([axis, np.diag(lo), inner])
 
 
-def test_closed_form_polytope_maximum_matches_lp(monkeypatch):
-    import scipy.optimize
-
+def test_closed_form_polytope_maximum_matches_lp():
     rng = np.random.default_rng(13)
     sets = [t for _ in range(2) for t in _training_shapes(rng)]
     want = [_polytope_lp(t) for t in sets]
-
-    def no_lp(*args, **kwargs):
-        raise AssertionError("closed-form shape sent to the LP")
-
-    monkeypatch.setattr(scipy.optimize, "linprog", no_lp)
     for train, lp in zip(sets, want):
         for order in range(3):
             got = _max_inner_over_polytope(rng.permutation(train) if order else train)
@@ -192,22 +184,11 @@ def test_closed_form_polytope_maximum_matches_lp(monkeypatch):
     ],
     ids=["path", "three_corners", "three_corners_one_twice"],
 )
-def test_polytope_maximum_of_other_shapes_comes_from_lp(train, monkeypatch):
-    import scipy.optimize
-
-    calls = []
-    linprog = scipy.optimize.linprog
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return linprog(*args, **kwargs)
-
-    want = _polytope_lp(train)
-    monkeypatch.setattr(scipy.optimize, "linprog", counted)
+def test_deficiency_constants_refuse_other_shapes(train):
     ts = TrainingSet(epsilon0=0.1, points=train)
-    got = _max_inner_over_polytope(ts.points)
-    assert len(calls) == train.shape[0]
-    assert got == want
+    game = GameConfig(domain=Domain.box(-np.ones(2), 2.0 * np.ones(2)), training=ts)
+    with pytest.raises(ValueError, match="coordinate axes or the 2\\^d sign corners"):
+        deficiency_constants(game)
 
 
 def test_deficiency_bounds_hold(rademacher_run):
@@ -360,9 +341,6 @@ def test_flat_path_in_one_dimensional_game():
     np.testing.assert_array_equal(
         sos_capital_fast(flat, train, 0.5), sos_capital_fast(col, train, 0.5)
     )
-    assert constant_strategy_capital([0.3], flat) == constant_strategy_capital(
-        [0.3], col
-    )
 
 
 def test_non_finite_outcome_names_round():
@@ -372,8 +350,6 @@ def test_non_finite_outcome_names_round():
     path[1, 0] = np.inf
     with pytest.raises(ValueError, match="non-finite outcome at round 2"):
         sos_capital_fast(path, np.array([[2.0], [-2.0]]), 0.5)
-    with pytest.raises(ValueError, match="non-finite outcome at round 2"):
-        constant_strategy_capital([0.3], path)
 
 
 def test_empty_path_rejected():
@@ -414,8 +390,8 @@ def test_invariant_checks_survive_optimize_flag():
 
 def reference_sos_run(config, path):
     """The exact run played one round at a time: solve_phi on the history
-    through round n, warm-started from round n-1's optimum, and the ledger
-    columns accumulated round by round.  Returns (columns, alphas)."""
+    through round n, and the ledger columns accumulated round by round.
+    Returns (columns, alphas)."""
     train = config.training.points
     n0 = train.shape[0]
     sol = solve_phi(PhiProblem(train))
@@ -427,9 +403,7 @@ def reference_sos_run(config, path):
     for n, x in enumerate(path, start=1):
         growth = 1.0 + float(sol.alpha_star @ x)
         logk += math.log(growth)
-        sol = solve_phi(
-            PhiProblem(np.concatenate([train, path[:n]])), warm_start=sol.alpha_star
-        )
+        sol = solve_phi(PhiProblem(np.concatenate([train, path[:n]])))
         alpha = sol.alpha_star
         xa = x / (1.0 + float(alpha @ x))
         log_info += -math.log1p(-float(xa @ np.linalg.solve(sol.hessian, xa)))
@@ -721,7 +695,7 @@ def test_outcome_on_the_slack_boundary_accepted():
         (box, [-edge], [-beyond]),
         (ball, [0.0, edge], [0.0, beyond]),
     ):
-        assert game.domain.contains(at) and not game.domain.contains(out)
+        assert game.domain.contains_rows(np.array([at, out])).tolist() == [True, False]
         assert sos_run(game, [[0.1] * len(at), at]).N == 2
         with pytest.raises(ValueError, match="outcome at round 2 lies outside"):
             sos_run(game, [[0.1] * len(at), out])

@@ -11,9 +11,8 @@ def test_hand_worked_example():
     assert tr.s_max[0] == pytest.approx(0.10)
     assert tr.s_min[0] == pytest.approx(-0.10)
     assert tr.F == 1
-    z = tr.to_unit(np.array([[0.10], [-0.10], [0.055555555555555]]))
-    np.testing.assert_allclose(z[:, 0], [1.0, -1.0, 0.5555555555], atol=1e-9)
-    # rho averages the corner block {-1, +1} with the first F=1 value z=1
+    # the unit returns z are 1, -1, 0.555...: rho averages the corner block
+    # {-1, +1} with the first F=1 value z=1
     assert tr.rho[0] == pytest.approx((0.0 + 1.0) / 3.0)
     # live outcomes are the centered remaining rounds
     np.testing.assert_allclose(
@@ -24,20 +23,13 @@ def test_hand_worked_example():
 def test_extreme_return_maps_to_unit():
     rng = np.random.default_rng(0)
     prices = 100.0 * np.cumprod(1.0 + rng.uniform(-0.05, 0.05, size=30))
-    _, _, tr = transform_returns(prices, 0.2)
-    z = tr.to_unit(np.array([tr.s_max]))
-    assert z[0, 0] == pytest.approx(1.0, abs=1e-12)
-    z = tr.to_unit(np.array([tr.s_min]))
-    assert z[0, 0] == pytest.approx(-1.0, abs=1e-12)
-
-
-def test_roundtrip_inverse():
-    rng = np.random.default_rng(1)
-    prices = 50.0 * np.cumprod(1.0 + rng.uniform(-0.04, 0.04, size=(40, 2)), axis=0)
-    _, _, tr = transform_returns(prices, 0.17)
+    outcomes, _, tr = transform_returns(prices, 0.2)
     rets = prices[1:] / prices[:-1] - 1.0
-    back = tr.from_unit(tr.to_unit(rets))
-    np.testing.assert_allclose(back, rets, atol=1e-12)
+    # both extremes fall after the forecast block, among the outcomes
+    hi, lo = int(np.argmax(rets)) - tr.F, int(np.argmin(rets)) - tr.F
+    assert hi >= 0 and lo >= 0
+    assert outcomes[hi, 0] + tr.rho[0] == pytest.approx(1.0, abs=1e-12)
+    assert outcomes[lo, 0] + tr.rho[0] == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_outcomes_lie_in_shifted_box():
@@ -46,8 +38,7 @@ def test_outcomes_lie_in_shifted_box():
     outcomes, cfg, tr = transform_returns(prices, 0.17)
     lo, hi = -1.0 - tr.rho, 1.0 - tr.rho
     assert np.all(outcomes >= lo - 1e-12) and np.all(outcomes <= hi + 1e-12)
-    for row in outcomes:
-        assert cfg.domain.contains(row)
+    assert cfg.domain.contains_rows(outcomes).all()
     # round count: N = T - 1 - F live outcomes
     assert outcomes.shape[0] == 60 - 1 - tr.F
 
@@ -79,6 +70,9 @@ def test_read_price_csv(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("")
     with pytest.raises(ValueError):
+        read_price_csv(empty)
+    empty.write_text("date,A\n")
+    with pytest.raises(ValueError, match="^no price rows found$"):
         read_price_csv(empty)
 
 
