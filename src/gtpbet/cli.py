@@ -53,7 +53,13 @@ def _fnum(cfg, key, default=None):
         if default is None:
             raise KeyError(f"missing config key {key!r}")
         return default
-    return float(cfg[key])
+    return _float(key, cfg[key])
+
+
+def _float(key, value):
+    with contextlib.suppress(ValueError):
+        return float(value)
+    raise ValueError(f"{key} must be a number, got {value!r}")
 
 
 def _inum(cfg, key, default):
@@ -150,7 +156,7 @@ def _universal_compare(cfg, seed, outdir):
 
 def _holder(cfg, seed, outdir):
     hurst = _fnum(cfg, "H", 0.5)
-    deltas = [float(v) for v in cfg.get("delta", "0.02 0.01 0.005").split()]
+    deltas = [_float("delta", v) for v in cfg.get("delta", "0.02 0.01 0.005").split()]
     for delta in deltas:  # before the path is synthesized
         _require_positive(delta=delta)
     path = gen_fbm(

@@ -34,29 +34,28 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PricePath:
-    """Strictly positive, finite prices on a strictly increasing time grid,
-    one row per time (a 1-D values array is one column)."""
+    """Strictly positive, finite prices at K + 1 >= 2 evenly spaced times
+    from 0 to T, one row per time (a 1-D values array is one column)."""
 
-    times: np.ndarray  # (K+1,)
     values: np.ndarray  # (K+1, d)
+    T: float
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
+        _require_positive(T=self.T)
         v = as_prices(self.values)
-        object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
-        if t.ndim != 1 or v.shape[0] != t.size:
-            raise ValueError(f"{v.shape[0]} price rows for {t.size} times")
-        if not np.all(t[1:] > t[:-1]):
-            raise ValueError("time grid must be strictly increasing")
+        object.__setattr__(self, "T", float(self.T))
+        if v.shape[0] < 2:
+            raise ValueError(f"{v.shape[0]} price rows; a grid of [0, T] has at least 2")
 
     @property
     def d(self) -> int:
         return self.values.shape[1]
 
     @property
-    def T(self) -> float:
-        return float(self.times[-1])
+    def times(self) -> np.ndarray:
+        """The grid times, formed on each call: K + 1 evenly spaced from 0 to T."""
+        return np.linspace(0.0, self.T, self.values.shape[0])
 
 
 @dataclass(frozen=True)
@@ -292,32 +291,34 @@ def _gbm_params(mu, sigma):
     return mu, sigma
 
 
+_NORMAL_CHUNK = 1 << 16  # normals drawn at a time (rows of them in gen_gbm)
+
+
 def gen_gbm(mu, sigma, T, grid_step, seed) -> PricePath:
     """Exact log-Euler geometric Brownian motion from 1, bit-reproducible by seed.
 
-    The normal draws are scaled in place and the log path is summed
-    straight into the returned array, so at most two arrays of the path's
-    size are alive at once."""
+    The normals pass through one reused block of _NORMAL_CHUNK rows, the
+    stream of one whole (K, d) draw, and their increments are summed and
+    exponentiated in place in the returned path, the only array of its size."""
     mu, sigma = _gbm_params(mu, sigma)
     d = mu.size
     if abs(np.linalg.det(sigma)) == 0.0:
         raise np.linalg.LinAlgError("volatility matrix is singular")
     K, h = _grid(T, grid_step)
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((K, d))
-    z *= math.sqrt(h)
-    incr = z @ sigma.T
-    del z
-    incr += (mu - 0.5 * np.diag(sigma @ sigma.T)) * h
+    drift = (mu - 0.5 * np.diag(sigma @ sigma.T)) * h
     values = np.empty((K + 1, d))
     values[0] = 0.0
-    np.cumsum(incr, axis=0, out=values[1:])
-    del incr
+    w = np.empty((min(K, _NORMAL_CHUNK), d))
+    for lo in range(0, K, w.shape[0]):
+        z = w[: min(w.shape[0], K - lo)]
+        rng.standard_normal(out=z)
+        z *= math.sqrt(h)
+        incr = np.matmul(z, sigma.T, out=values[1 + lo : 1 + lo + z.shape[0]])
+        incr += drift
+    np.cumsum(values[1:], axis=0, out=values[1:])
     np.exp(values, out=values)
-    return PricePath(times=np.linspace(0.0, T, K + 1), values=values)
-
-
-_NORMAL_CHUNK = 1 << 16  # normals drawn at a time by _fgn_davies_harte
+    return PricePath(values, T)
 
 
 def _fgn_davies_harte(n, hurst, rng, dtype=np.float64):
@@ -402,7 +403,7 @@ def gen_fbm(hurst, scale, T, grid_step, seed, d=1, dtype=np.float64) -> PricePat
     path.  The synthesis peaks at about three buffers of 2K values of dtype
     (the buffer, pocketfft's plan, which SciPy keeps cached, and its
     scratch); dtype=float32 halves that, but not the (K+1) x d float64
-    path."""
+    path.  The path is returned with T alone; its grid is not stored."""
     if not 0.0 < hurst < 1.0:
         raise ValueError("hurst must lie in (0, 1)")
     K, h = _grid(T, grid_step)
@@ -415,7 +416,7 @@ def gen_fbm(hurst, scale, T, grid_step, seed, d=1, dtype=np.float64) -> PricePat
         paths[:, j] *= h**hurst
     paths *= scale
     np.exp(paths, out=paths)
-    return PricePath(times=np.linspace(0.0, T, K + 1), values=paths)
+    return PricePath(paths, T)
 
 
 _EPSILON0 = 0.1  # interiority margin of the embedded games' training

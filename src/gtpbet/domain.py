@@ -228,13 +228,14 @@ def as_prices(x) -> np.ndarray:
         prices = prices[:, None]
     if prices.ndim != 2:
         raise ValueError(f"price table of shape {np.shape(x)} is not (T, d)")
+    # a NaN fails both reductions; only a failure pays for a mask
+    if prices.min(initial=1.0) > 0.0 and prices.max(initial=1.0) < math.inf:
+        return prices
     ok = np.isfinite(prices)
     if not ok.all():
         raise ValueError(f"non-finite price at row {_first_bad_row(ok)}")
     np.greater(prices, 0.0, out=ok)
-    if not ok.all():
-        raise ValueError(f"prices must be strictly positive (row {_first_bad_row(ok)})")
-    return prices
+    raise ValueError(f"prices must be strictly positive (row {_first_bad_row(ok)})")
 
 
 def running_moments(path, s0=None, V0=None):

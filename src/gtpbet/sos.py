@@ -255,16 +255,17 @@ def sos_capital_fast(path, training, alpha_box):
     training = as_path(training)
     d = training.shape[1]
     path = as_path(path, d)
-    s, V = running_moments(path)
-    s = training.sum(axis=0) + s[:-1]
-    V = training.T @ training + V[:-1]
+    s, V = (m[:-1] for m in running_moments(path))  # before each round
+    s += training.sum(axis=0)
+    V += training.T @ training
     if d == 1:
         alpha = s / V[:, 0]
     else:
         alpha = np.linalg.solve(V, s[:, :, None])[:, :, 0]
     bound = np.broadcast_to(np.asarray(alpha_box, dtype=float), (d,))
-    alpha = np.clip(alpha, -bound, bound)
-    return np.log1p((alpha * path).sum(axis=1))
+    np.clip(alpha, -bound, bound, out=alpha)
+    alpha *= path
+    return np.log1p(alpha.sum(axis=1))
 
 
 def deficiency_constants(config: GameConfig):

@@ -51,23 +51,24 @@ def reference_stops(values, delta):
     return stops
 
 
-def peak_rss_ratio(call):
+def peak_rss_ratio(call, path_bytes=None):
     """Rise of the peak RSS over one path-generating call, divided by the
-    bytes of the path it returns.
+    bytes of the path it returns, or by path_bytes for a call that makes
+    its path inside and returns something else.
 
-    `call` is an expression over `gen_fbm`, `gen_gbm` and `np`, run in a
-    fresh interpreter once numpy, scipy.fft and scipy.fftpack are imported,
-    so the rise is the call's own working memory.  Linux only: ru_maxrss
-    is in KiB there.
+    `call` is an expression over `gen_fbm`, `gen_gbm`,
+    `girsanov_rate_experiment` and `np`, run in a fresh interpreter once
+    numpy, scipy.fft and scipy.fftpack are imported, so the rise is the
+    call's own working memory.  Linux only: ru_maxrss is in KiB there.
     """
     code = (
         "import resource\n"
         "import numpy as np, scipy.fft, scipy.fftpack\n"
-        "from gtpbet.continuous import gen_fbm, gen_gbm\n"
+        "from gtpbet.continuous import gen_fbm, gen_gbm, girsanov_rate_experiment\n"
         "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
         f"path = {call}\n"
         "rise = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before\n"
-        "print(rise * 1024 / path.values.nbytes)\n"
+        f"print(rise * 1024 / {path_bytes or 'path.values.nbytes'})\n"
     )
     src = str(Path(gtpbet.__file__).resolve().parent.parent)
     proc = subprocess.run(

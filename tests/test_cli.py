@@ -258,6 +258,25 @@ def test_integer_keys_refuse_a_non_integer(tmp_path, monkeypatch, cfg, key):
     assert not (tmp_path / "out" / "summary.json").exists()
 
 
+@pytest.mark.parametrize(
+    "cfg, key, value",
+    [
+        ({"scenario": "holder", "delta": "0.02,0.01"}, "delta", "0.02,0.01"),
+        ({"scenario": "holder", "delta": "0.02 0.01x"}, "delta", "0.01x"),
+        ({"scenario": "sos_synthetic", "N": "50", "halfwidth": "0.5x"}, "halfwidth", "0.5x"),
+    ],
+)
+def test_float_keys_refuse_a_non_number(tmp_path, monkeypatch, cfg, key, value):
+    import gtpbet.cli as cli
+
+    # refused before any path is made
+    monkeypatch.setattr(cli, "gen_fbm", lambda *a, **k: pytest.fail("path made"))
+    message = f"{key} must be a number, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_scenario(cfg, tmp_path / "out")
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
 def test_seed_env_refuses_a_non_integer(tmp_path, monkeypatch):
     monkeypatch.setenv("GTPBET_SEED", "1e-3")
     with pytest.raises(ValueError, match="^GTPBET_SEED must be an integer, got '1e-3'$"):

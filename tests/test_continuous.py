@@ -43,7 +43,7 @@ def test_embed_matches_definition_on_random_paths(d):
         incr = 0.0005 * rng.standard_normal((k, d))
         incr[k // 3 : k // 3 + k // 4] = 0.0  # a flat stretch of long gaps
         values = np.exp(np.vstack([np.zeros(d), np.cumsum(incr, axis=0)]))
-        path = PricePath(times=np.arange(k + 1.0), values=values)
+        path = PricePath(values, T=k)
         for delta in (0.003, 0.006, 0.02):
             got = embed(path, delta).stop_indices
             assert got.dtype == np.int64
@@ -60,13 +60,12 @@ def test_embed_crossing_threshold_is_inclusive(sign):
         edge = anchor * (1.0 + sign * delta)
         inside = np.nextafter(edge, anchor)
         outside = np.nextafter(edge, edge + sign)
-        t = np.arange(4.0)
         for values, stops in (
             ([anchor, inside, inside, inside], []),
             ([anchor, inside, edge, edge], [2]),
             ([anchor, inside, outside, outside], [2]),
         ):
-            path = PricePath(times=t, values=np.array(values)[:, None])
+            path = PricePath(np.array(values)[:, None], T=3)
             assert embed(path, delta).stop_indices.tolist() == stops
             assert reference_stops(path.values, delta) == stops
 
@@ -87,7 +86,7 @@ def test_embed_matches_definition_near_threshold():
         if r * r >= delta * delta:
             anchor = x
     values = np.array(values)[:, None]
-    path = PricePath(times=np.arange(values.shape[0] + 0.0), values=values)
+    path = PricePath(values, T=values.shape[0] - 1)
     expect = reference_stops(values, delta)
     assert 500 < len(expect) < 1500  # near-threshold points on both sides
     assert embed(path, delta).stop_indices.tolist() == expect
@@ -112,7 +111,7 @@ def test_lockstep_scan_matches_definition_on_long_paths(d):
     # chains at the default segment length, spliced at their merges
     rng = np.random.default_rng(60 + d)
     values = _walk(rng, 200_000, d, 0.002 / math.sqrt(d))
-    path = PricePath(times=np.arange(200_001.0), values=values)
+    path = PricePath(values, T=200_000)
     for delta in (0.005, 0.01):
         stops, discarded = continuous._scan_crossings(values, delta * delta)
         assert discarded > 0  # chains after the first ran
@@ -242,7 +241,7 @@ def test_lockstep_scan_bounds_the_waste_on_a_smooth_path():
 
 def test_embed_exponential_spacing():
     t = np.linspace(0.0, 1.0, 200_001)
-    path = PricePath(times=t, values=np.exp(t)[:, None])
+    path = PricePath(np.exp(t)[:, None], T=1.0)
     emb = embed(path, 0.01)
     spacing = np.diff(np.concatenate([[0], emb.stop_indices])) * (t[1] - t[0])
     assert np.all(np.abs(spacing - math.log(1.01)) < 2 * (t[1] - t[0]))
@@ -250,8 +249,7 @@ def test_embed_exponential_spacing():
 
 
 def test_embed_constant_path():
-    t = np.linspace(0.0, 1.0, 101)
-    path = PricePath(times=t, values=np.ones((101, 1)))
+    path = PricePath(np.ones((101, 1)), T=1.0)
     emb = embed(path, 0.01)
     assert emb.N == 0
     assert emb.outcomes.shape == (0, 1)
@@ -262,7 +260,7 @@ def test_embed_without_a_stop(d):
     # every move stays far inside delta, so the path has no stop
     t = np.linspace(0.0, 1.0, 101)
     values = 1.0 + 0.01 * np.sin(np.outer(t, np.arange(1, d + 1)) + 0.3)
-    emb = embed(PricePath(times=t, values=values), 0.5)
+    emb = embed(PricePath(values, T=1.0), 0.5)
     assert emb.N == 0
     assert emb.stop_indices.size == 0 and emb.stop_indices.dtype == np.int64
     assert emb.outcomes.shape == emb.raw_returns.shape == (0, d)
@@ -327,18 +325,17 @@ def test_embed_outcomes_on_sphere_and_compounding():
 
 
 def test_embed_grid_too_coarse():
-    t = np.linspace(0.0, 1.0, 11)
     v = np.ones(11)
     v[5:] = 1.5  # a 50% single-step jump
     with pytest.raises(ValueError, match="finely"):
-        embed(PricePath(times=t, values=v[:, None]), 0.01)
+        embed(PricePath(v[:, None], T=1.0), 0.01)
 
 
 def test_embed_refinement_invariance():
     def sample(k):
         t = np.linspace(0.0, 1.0, k + 1)
         s = np.exp(0.08 * np.sin(7.0 * t) + 0.05 * t)
-        return PricePath(times=t, values=s[:, None]), t
+        return PricePath(s[:, None], T=1.0), t
 
     coarse_path, tc = sample(40_000)
     fine_path, tf = sample(400_000)
@@ -520,9 +517,21 @@ def test_gen_fbm_peak_memory():
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss units are Linux's")
 def test_gen_gbm_peak_memory():
-    # the normal draws, their increments and the path, about two path sizes
+    # the increments are written into the path itself and the normals
+    # pass through one small block: about one path size (1.06 measured
+    # here); a whole-path array of draws or increments would reach two
     call = "gen_gbm([0.1, 0.1], 0.3 * np.eye(2), 100.0, 4.4e-5, 1)"
-    assert peak_rss_ratio(call) <= 3.5
+    assert peak_rss_ratio(call) <= 1.5
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss units are Linux's")
+def test_girsanov_peak_memory():
+    # the d = 2 path of 2,250,001 points, then the scan's owner map of two
+    # bytes a point and the embedded run's moments: 1.6 path sizes measured
+    # here, against 2.2 when synthesis also held the draws and increments
+    K, _ = continuous._grid(100.0, (0.01 / 1.5) ** 2)  # the experiment's grid
+    call = "girsanov_rate_experiment([0.1, 0.1], 0.3 * np.eye(2), 100.0, 0.01, 1)"
+    assert peak_rss_ratio(call, path_bytes=(K + 1) * 2 * 8) <= 1.8
 
 
 def test_gen_fbm_rejects_bad_hurst():
@@ -550,20 +559,25 @@ def test_girsanov_zero_drift():
 
 
 def test_price_path_validation():
-    with pytest.raises(ValueError):
-        PricePath(times=[0.0, 0.0, 1.0], values=np.ones((3, 1)))
-    with pytest.raises(ValueError):
-        PricePath(times=[0.0, 1.0], values=np.array([[1.0], [-1.0]]))
+    for T in (0.0, -1.0):
+        with pytest.raises(ValueError, match="^T must be positive and finite"):
+            PricePath(np.ones((3, 1)), T)
+    with pytest.raises(ValueError, match="strictly positive"):
+        PricePath(np.array([[1.0], [-1.0]]), 1.0)
 
 
 def test_price_path_rows_must_match_times():
-    with pytest.raises(ValueError, match="5 price rows for 3 times"):
-        PricePath(times=[0.0, 1.0, 2.0], values=np.ones((5, 1)))
+    # the grid of [0, T] has both ends, so a path has at least two rows
+    for rows in (np.ones((0, 1)), np.ones(1)):
+        with pytest.raises(ValueError, match="price rows; a grid of"):
+            PricePath(rows, 1.0)
     # a (1, T) table is one row of T items, not a column to transpose
-    with pytest.raises(ValueError, match="1 price rows for 3 times"):
-        PricePath(times=[0.0, 1.0, 2.0], values=np.ones((1, 3)))
-    flat = PricePath(times=[0.0, 1.0, 2.0], values=[1.0, 1.1, 1.2])
+    with pytest.raises(ValueError, match=r"^1 price rows; a grid of \[0, T\] has at least 2$"):
+        PricePath(np.ones((1, 3)), 2.0)
+    flat = PricePath([1.0, 1.1, 1.2], 2.0)
     assert flat.values.shape == (3, 1)
+    assert np.array_equal(flat.times, [0.0, 1.0, 2.0])
+    assert PricePath(np.ones((5, 1)), 2).T == 2.0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -571,6 +585,6 @@ def test_price_path_rejects_non_finite_price(bad):
     values = np.exp(0.1 * np.arange(6.0))
     values[2] = bad
     with pytest.raises(ValueError, match="non-finite price at row 2"):
-        PricePath(times=np.arange(6.0), values=values)
-    with pytest.raises(ValueError, match="strictly increasing"):
-        PricePath(times=[0.0, np.nan, 2.0], values=np.ones(3))
+        PricePath(values, T=5.0)
+    with pytest.raises(ValueError, match="^T must be positive and finite"):
+        PricePath(np.ones(3), T=bad)

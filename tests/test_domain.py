@@ -19,7 +19,7 @@ from gtpbet import (
     sos_capital_fast,
     universal_portfolio,
 )
-from gtpbet.domain import LEDGER_COLUMNS
+from gtpbet.domain import LEDGER_COLUMNS, as_prices
 
 
 def test_box_requires_origin_interior():
@@ -161,6 +161,27 @@ def test_as_path_width_from_the_array():
         as_path(np.zeros((2, 2, 2)))
     with pytest.raises(ValueError, match="not"):
         as_path(np.zeros((4, 3)), 2)
+
+
+@pytest.mark.parametrize(
+    "rows, cause",
+    [
+        # a NaN after a non-positive row: the non-finite message wins
+        ([[1.0, 2.0], [1.0, 0.0], [np.nan, 1.0]], "non-finite price at row 2"),
+        ([[1.0, 2.0], [-1.0, 1.0], [1.0, np.inf]], "non-finite price at row 2"),
+        ([[1.0, 2.0], [1.0, -np.inf], [1.0, 1.0]], "non-finite price at row 1"),
+        ([[1.0, 2.0], [1.0, 3.0], [-0.0, 1.0]], r"prices must be strictly positive \(row 2\)"),
+        ([[1.0, 2.0], [0.0, 3.0], [-1.0, 1.0]], r"prices must be strictly positive \(row 1\)"),
+    ],
+)
+def test_as_prices_names_the_first_bad_row(rows, cause):
+    with pytest.raises(ValueError, match=f"^{cause}"):
+        as_prices(np.array(rows))
+
+
+def test_as_prices_takes_an_empty_table():
+    assert as_prices(np.zeros((0, 3))).shape == (0, 3)
+    assert as_prices([]).shape == (0, 1)
 
 
 def _select(path):

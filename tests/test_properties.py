@@ -106,7 +106,7 @@ def test_embedding_lies_on_the_sphere_and_compounds(seed, d, delta, vol):
     rng = np.random.default_rng(seed)
     steps = vol * delta * rng.standard_normal((2000, d))
     values = 2.0 * np.exp(np.concatenate([np.zeros((1, d)), np.cumsum(steps, axis=0)]))
-    path = PricePath(times=np.arange(2001.0), values=values)
+    path = PricePath(values, T=2000)
     emb = embed(path, delta)
     assert emb.N == len(emb.stop_indices) == len(emb.outcomes)
     np.testing.assert_allclose(np.linalg.norm(emb.outcomes, axis=1), delta, rtol=1e-12)

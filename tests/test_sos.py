@@ -24,7 +24,7 @@ from gtpbet import (
     solve_phi,
     sos_run,
 )
-from gtpbet.domain import LEDGER_COLUMNS
+from gtpbet.domain import LEDGER_COLUMNS, running_moments
 from gtpbet.optimizer import _mask_beyond, _newton_rows, _outer_rows
 from gtpbet.sos import _BLOCK, _max_inner_over_polytope
 from conftest import corner_game, unit_box_game
@@ -327,6 +327,27 @@ def test_fast_rule_matches_per_round_reference(d, drift):
         assert abs(total - running[-1]) <= tol
         assert abs(last - running[-1]) <= tol
         np.testing.assert_allclose(got, running, rtol=0.0, atol=tol)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_fast_rule_bit_identical_to_whole_array_reference(d):
+    # the rule written out over whole arrays, each step a fresh array:
+    # the fast rule must give the same bits however it stores them
+    rng = np.random.default_rng(70 + d)
+    path = rng.uniform(-0.05, 0.05, size=(4000, d)) + 0.01
+    train = 0.06 * np.concatenate([np.eye(d), -np.eye(d)])
+    box = np.linspace(3.0, 5.0, d)
+    s, V = running_moments(path)
+    s = train.sum(axis=0) + s[:-1]
+    V = train.T @ train + V[:-1]
+    if d == 1:
+        alpha = s / V[:, 0]
+    else:
+        alpha = np.linalg.solve(V, s[:, :, None])[:, :, 0]
+    alpha = np.clip(alpha, -box, box)
+    assert np.any(np.abs(alpha) == box)  # the drift pushes bets onto the box
+    expect = np.log1p((alpha * path).sum(axis=1))
+    assert np.array_equal(sos_capital_fast(path, train, box), expect)
 
 
 def test_flat_path_in_one_dimensional_game():
