@@ -197,16 +197,16 @@ def _model_select(cfg, seed, outdir):
     return {"selected": report.selected, "criterion": report.criterion.tolist()}
 
 
-# scenario name -> runner(cfg, seed, outdir) that writes its own outputs and
-# returns the summary that run_scenario writes to summary.json
+# scenario name -> (runner(cfg, seed, outdir), the keys it reads besides
+# scenario and seed); the runner writes its outputs and returns the summary
 SCENARIOS = {
-    "sos_csv": _sos_csv,
-    "sos_synthetic": _sos_synthetic,
-    "universal_compare": _universal_compare,
-    "holder": _holder,
-    "girsanov": _girsanov,
-    "model_select": _model_select,
-    "imaginary": _imaginary,
+    "sos_csv": (_sos_csv, "input c"),
+    "sos_synthetic": (_sos_synthetic, "d N halfwidth epsilon0"),
+    "universal_compare": (_universal_compare, "N M"),
+    "holder": (_holder, "H delta scale T grid_step"),
+    "girsanov": (_girsanov, "d mu sigma T delta"),
+    "model_select": (_model_select, "d_max N"),
+    "imaginary": (_imaginary, "N"),
 }
 
 
@@ -231,8 +231,12 @@ def run_scenario(cfg: dict, outdir: Path) -> dict:
     scenario = cfg.get("scenario")
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}")
+    runner, keys = SCENARIOS[scenario]
+    unread = sorted(set(cfg) - {"scenario", "seed", *keys.split()})
+    if unread:
+        raise ValueError(f"scenario {scenario} reads no key {', '.join(unread)}")
     outdir.mkdir(parents=True, exist_ok=True)
-    summary = SCENARIOS[scenario](cfg, _seed(cfg), outdir)
+    summary = runner(cfg, _seed(cfg), outdir)
     with open(outdir / "summary.json", "w") as fh:
         fh.write(_summary_json(summary) + "\n")
     return summary

@@ -17,7 +17,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .domain import (
-    Domain, GameConfig, InvariantError, _require_positive, as_prices, make_training,
+    _ROW_BLOCK, Domain, GameConfig, InvariantError, _require_positive, as_prices, make_training,
 )
 from .sos import sos_capital_fast
 
@@ -243,33 +243,53 @@ def embed(path: PricePath, delta: float) -> Embedding:
     segment of the path; a chain that lands on an index another chain
     reached merges into it, and the stops are spliced from the first
     chain's merges (see _scan_crossings).  They are those of one scan
-    from index 0, bit for bit.
-    A delta that is not positive and finite raises ValueError, and so
-    does a single grid step whose return norm exceeds 2 delta: the
-    sampling grid is then too coarse to localize the crossing.
+    from index 0, bit for bit.  Their returns are formed column by column,
+    _ROW_BLOCK stops at a time.  A delta that is not positive and finite
+    raises ValueError, and so does a single grid step whose return norm
+    exceeds 2 delta: the sampling grid is then too coarse to localize the
+    crossing.
     """
     _require_positive(delta=delta)
     S = path.values
     stops, _ = _scan_crossings(S, delta * delta)
-    prev = np.concatenate([[0], stops])  # t_0 = 0, then the stops
-    raws = S[stops] / S[prev[:-1]] - 1.0
-    steps = np.linalg.norm(S[stops] / S[stops - 1] - 1.0, axis=1)
-    worst = float(steps.max(initial=0.0))
+    raws, outcomes = np.empty((2, stops.size, S.shape[1]))
+    prev, worst, at = S[0], 0.0, 0  # t_0 = 0, then the stops
+    for lo in range(0, stops.size, _ROW_BLOCK):
+        idx = stops[lo : lo + _ROW_BLOCK]
+        at_stop = S[idx]
+        steps = _row_norms(at_stop / S[idx - 1] - 1.0)  # one grid step into each stop
+        k = int(steps.argmax())
+        if steps[k] > worst:  # the earliest worst step wins
+            worst, at = float(steps[k]), int(idx[k])
+        raw = raws[lo : lo + idx.size]
+        np.divide(at_stop[0], prev, out=raw[0])
+        np.divide(at_stop[1:], at_stop[:-1], out=raw[1:])
+        raw -= 1.0
+        scale = delta / _row_norms(raw)
+        for c in range(S.shape[1]):
+            np.multiply(raw[:, c], scale, out=outcomes[lo : lo + idx.size, c])
+        prev = at_stop[-1]
     if worst > 2.0 * delta:
-        k = int(stops[np.argmax(steps)])
         raise ValueError(
             f"grid too coarse: single-step return {worst:.4g} exceeds "
-            f"2*delta at index {k}; sample the path more finely"
+            f"2*delta at index {at}; sample the path more finely"
         )
-    nrm = np.linalg.norm(raws, axis=1)
     return Embedding(
         delta=delta,
         stop_indices=stops,
-        outcomes=raws * (delta / nrm)[:, None],
+        outcomes=outcomes,
         raw_returns=raws,
-        final_return=S[-1] / S[prev[-1]] - 1.0,
+        final_return=S[-1] / prev - 1.0,
         N=len(stops),
     )
+
+
+def _row_norms(x):
+    """np.linalg.norm(x, axis=1), bit for bit: squares summed in column order."""
+    out = x[:, 0] * x[:, 0]
+    for c in range(1, x.shape[1]):
+        out += x[:, c] * x[:, c]
+    return np.sqrt(out, out=out)
 
 
 def _grid(T, grid_step):
@@ -291,15 +311,13 @@ def _gbm_params(mu, sigma):
     return mu, sigma
 
 
-_NORMAL_CHUNK = 1 << 16  # normals drawn at a time (rows of them in gen_gbm)
-
-
 def gen_gbm(mu, sigma, T, grid_step, seed) -> PricePath:
     """Exact log-Euler geometric Brownian motion from 1, bit-reproducible by seed.
 
-    The normals pass through one reused block of _NORMAL_CHUNK rows, the
-    stream of one whole (K, d) draw, and their increments are summed and
-    exponentiated in place in the returned path, the only array of its size."""
+    The normals pass through one reused block of _ROW_BLOCK rows, the stream
+    of one whole (K, d) draw.  Each block's increments, drift added by column,
+    are summed in place in the returned path, the only array of its size,
+    onto the row before the block: term by term one whole-path cumsum."""
     mu, sigma = _gbm_params(mu, sigma)
     d = mu.size
     if abs(np.linalg.det(sigma)) == 0.0:
@@ -307,16 +325,19 @@ def gen_gbm(mu, sigma, T, grid_step, seed) -> PricePath:
     K, h = _grid(T, grid_step)
     rng = np.random.default_rng(seed)
     drift = (mu - 0.5 * np.diag(sigma @ sigma.T)) * h
+    sigma_t = np.ascontiguousarray(sigma.T)  # matmul is slower on the transposed view
     values = np.empty((K + 1, d))
     values[0] = 0.0
-    w = np.empty((min(K, _NORMAL_CHUNK), d))
+    w = np.empty((min(K, _ROW_BLOCK), d))
     for lo in range(0, K, w.shape[0]):
         z = w[: min(w.shape[0], K - lo)]
         rng.standard_normal(out=z)
         z *= math.sqrt(h)
-        incr = np.matmul(z, sigma.T, out=values[1 + lo : 1 + lo + z.shape[0]])
-        incr += drift
-    np.cumsum(values[1:], axis=0, out=values[1:])
+        incr = np.matmul(z, sigma_t, out=values[1 + lo : 1 + lo + z.shape[0]])
+        for c in range(d):
+            incr[:, c] += drift[c]
+        incr[0] += values[lo]
+        np.cumsum(incr, axis=0, out=incr)
     np.exp(values, out=values)
     return PricePath(values, T)
 
@@ -373,7 +394,7 @@ def _fgn_davies_harte(n, hurst, rng, dtype=np.float64):
     # a draw array of the path's size would stay in the heap below glibc's
     # mmap threshold and put the inverse transform's scratch on top of it
     buf[2::2] = buf[1:-1:2]
-    w = np.empty(min(n + 1, _NORMAL_CHUNK), dtype=dtype)
+    w = np.empty(min(n + 1, _ROW_BLOCK), dtype=dtype)
     for real in (True, False):
         for lo in range(0, n + 1, w.size):
             z = w[: min(w.size, n + 1 - lo)]

@@ -33,6 +33,10 @@ __all__ = [
 
 _BOUNDARY_SLACK = 1e-12  # absorbs transform rounding on membership tests
 
+# Rows per block of the continuous path's per-row stages, which work column
+# by column: NumPy's inner loop runs along the last axis, of length d.
+_ROW_BLOCK = 1 << 16
+
 
 def _require_positive(**values) -> None:
     """Raise ValueError naming the first value that is not positive and finite."""
@@ -244,7 +248,8 @@ def running_moments(path, s0=None, V0=None):
 
     The one place the package accumulates these sums.  Rounds are added
     one at a time onto the start row (zero when s0 or V0 is omitted), so
-    row n is exactly the running sum a round-by-round loop would hold.
+    row n is exactly the running sum a round-by-round loop would hold, also
+    over pieces of a path each started from the last rows of the one before.
     """
     path = as_path(path)
     N, d = path.shape
@@ -253,7 +258,8 @@ def running_moments(path, s0=None, V0=None):
     s[1:] = path
     V = np.empty((N + 1, d, d))
     V[0] = 0.0 if V0 is None else V0
-    np.multiply(path[:, :, None], path[:, None, :], out=V[1:])
+    for i, j in np.ndindex(d, d):  # d * d column products, not one broadcast
+        np.multiply(path[:, i], path[:, j], out=V[1:, i, j])
     np.cumsum(s, axis=0, out=s)
     np.cumsum(V, axis=0, out=V)
     return s, V

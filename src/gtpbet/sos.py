@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import (
+    _ROW_BLOCK,
     CapitalLedger,
     CollateralError,
     GameConfig,
@@ -246,8 +247,8 @@ def sos_capital_fast(path, training, alpha_box):
     positive.
 
     s and V before each round are the training totals plus the running
-    moments of the path, which do not depend on the bets, so the whole
-    run is a handful of array operations for every d.
+    moments of the path, which do not depend on the bets.  They run column
+    by column, _ROW_BLOCK rounds at a time, with the same bits as at once.
 
     Returns the log gains log(1 + alpha_n . x_n), one per round; their
     sum is the final log capital and their cumulative sum its path.
@@ -255,17 +256,30 @@ def sos_capital_fast(path, training, alpha_box):
     training = as_path(training)
     d = training.shape[1]
     path = as_path(path, d)
-    s, V = (m[:-1] for m in running_moments(path))  # before each round
-    s += training.sum(axis=0)
-    V += training.T @ training
-    if d == 1:
-        alpha = s / V[:, 0]
-    else:
-        alpha = np.linalg.solve(V, s[:, :, None])[:, :, 0]
+    train_s, train_V = training.sum(axis=0), training.T @ training
     bound = np.broadcast_to(np.asarray(alpha_box, dtype=float), (d,))
-    np.clip(alpha, -bound, bound, out=alpha)
-    alpha *= path
-    return np.log1p(alpha.sum(axis=1))
+    gains = np.zeros(path.shape[0])  # a row sum starts from +0.0, as NumPy's does
+    s = V = None
+    for lo in range(0, path.shape[0], _ROW_BLOCK):
+        x = path[lo : lo + _ROW_BLOCK]
+        s, V = running_moments(x, s, V)
+        sb, Vb = s[:-1], V[:-1]  # before each round
+        for i in range(d):
+            sb[:, i] += train_s[i]
+            for j in range(d):
+                Vb[:, i, j] += train_V[i, j]
+        if d == 1:
+            alpha = sb / Vb[:, 0]
+        else:
+            alpha = np.linalg.solve(Vb, sb[:, :, None])[:, :, 0]
+        g = gains[lo : lo + x.shape[0]]
+        for i in range(d):
+            a = alpha[:, i]
+            np.clip(a, -bound[i], bound[i], out=a)
+            a *= x[:, i]
+            g += a
+        s, V = s[-1], V[-1]
+    return np.log1p(gains, out=gains)
 
 
 def deficiency_constants(config: GameConfig):

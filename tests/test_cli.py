@@ -12,7 +12,7 @@ import pytest
 
 import gtpbet
 from gtpbet import CapitalLedger, UniversalPortfolioConfig, universal_portfolio
-from gtpbet.cli import main, parse_config, run_scenario
+from gtpbet.cli import SCENARIOS, main, parse_config, run_scenario
 from gtpbet.domain import _CSV_ROWS, LEDGER_COLUMNS
 from gtpbet.transform import read_price_csv, transform_returns
 
@@ -324,6 +324,46 @@ def test_every_public_name_has_a_caller_beyond_the_unit_tests():
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
     assert sorted(set(gtpbet.__all__) - used) == []
+
+
+def test_package_source_has_no_assert():
+    # the paper's checks raise named exceptions, so python -O keeps them
+    for f in sorted(Path(gtpbet.__file__).parent.glob("*.py")):
+        found = [n.lineno for n in ast.walk(ast.parse(f.read_text())) if isinstance(n, ast.Assert)]
+        assert found == [], f"assert statement in {f.name} at line {found[0]}"
+
+
+def test_scenario_refuses_a_key_it_does_not_read(tmp_path):
+    cfg = {"scenario": "model_select", "N": "50", "dmax": "1"}
+    with pytest.raises(ValueError, match="^scenario model_select reads no key dmax$"):
+        run_scenario(cfg, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(ValueError, match="^scenario imaginary reads no key M, d$"):
+        run_scenario({"scenario": "imaginary", "d": "2", "M": "3", "seed": "1"}, tmp_path / "out")
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {"scenario": "sos_csv", "input": "prices.csv", "c": "0.2"},
+        {"scenario": "sos_synthetic", "d": "2", "N": "30", "halfwidth": "0.4", "epsilon0": "0.2"},
+        {"scenario": "universal_compare", "N": "30", "M": "5"},
+        {"scenario": "holder", "H": "0.4", "delta": "0.05 0.02", "scale": "0.1", "T": "0.5",
+         "grid_step": "1e-4"},
+        {"scenario": "girsanov", "d": "2", "mu": "0.05", "sigma": "0.2", "T": "1", "delta": "0.05"},
+        {"scenario": "model_select", "d_max": "2", "N": "40"},
+        {"scenario": "imaginary", "N": "30"},
+    ],
+    ids=lambda cfg: cfg["scenario"],
+)
+def test_every_scenario_runs_with_every_key_it_reads(cfg, tmp_path):
+    assert set(cfg) - {"scenario"} == set(SCENARIOS[cfg["scenario"]][1].split())
+    prices = 100.0 * np.cumprod(1.0 + np.random.default_rng(2).uniform(-0.03, 0.03, (40, 2)), axis=0)
+    pf = tmp_path / "prices.csv"
+    pf.write_text("day,A,B\n" + "".join(f"{i},{a!r},{b!r}\n" for i, (a, b) in enumerate(prices.tolist())))
+    cfg = cfg | {"seed": "3"} | ({"input": str(pf)} if "input" in cfg else {})
+    run_scenario(cfg, tmp_path / "out")
+    assert (tmp_path / "out" / "summary.json").exists()
 
 
 def test_unknown_scenario(tmp_path):

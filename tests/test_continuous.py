@@ -270,6 +270,59 @@ def test_embed_without_a_stop(d):
     assert np.array_equal(alpha, np.zeros(d)) and not np.signbit(alpha).any()
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_row_norms_bit_identical_to_linalg_norm(d):
+    rng = np.random.default_rng(60 + d)
+    x = rng.standard_normal((5000, d)) * np.exp(rng.uniform(-30.0, 30.0, (5000, d)))
+    x[::7, -1] = -0.0
+    x[::13] = 0.0
+    assert continuous._row_norms(x).tobytes() == np.linalg.norm(x, axis=1).tobytes()
+
+
+def _embed_reference(S, stops, delta):
+    """embed's returns over whole arrays, each step a fresh array: outcomes,
+    raw returns, final return and the index of the first worst single step."""
+    prev = np.concatenate([[0], stops])
+    raws = S[stops] / S[prev[:-1]] - 1.0
+    steps = np.linalg.norm(S[stops] / S[stops - 1] - 1.0, axis=1)
+    nrm = np.linalg.norm(raws, axis=1)
+    outcomes = raws * (delta / nrm)[:, None]
+    return outcomes, raws, S[-1] / S[prev[-1]] - 1.0, int(stops[np.argmax(steps)])
+
+
+def test_embed_blocks_bit_identical_to_whole_array_reference(monkeypatch):
+    # blocks of 64 stops, so that about 35 of them carry the previous stop
+    # over a block boundary
+    monkeypatch.setattr(continuous, "_ROW_BLOCK", 64)
+    sigma = np.array([[0.3, 0.1], [-0.05, 0.2]])
+    path = gen_gbm([0.1, -0.05], sigma, 2.0, (0.01 / 1.5) ** 2, 17)
+    emb = embed(path, 0.01)
+    stops, _ = continuous._scan_crossings(path.values, 0.01 * 0.01)
+    assert emb.N > 30 * 64 and np.array_equal(emb.stop_indices, stops)
+    outcomes, raws, final, _ = _embed_reference(path.values, stops, 0.01)
+    assert emb.outcomes.tobytes() == outcomes.tobytes()
+    assert emb.raw_returns.tobytes() == raws.tobytes()
+    assert emb.final_return.tobytes() == final.tobytes()
+    # a grid so coarse that single steps exceed 2 delta in many blocks
+    coarse = gen_gbm([0.1, -0.05], sigma, 3.0, 1e-3, 17)
+    stops, _ = continuous._scan_crossings(coarse.values, 0.01 * 0.01)
+    *_, k = _embed_reference(coarse.values, stops, 0.01)
+    assert np.searchsorted(stops, k) >= 64
+    with pytest.raises(ValueError, match=f"at index {k};"):
+        embed(coarse, 0.01)
+
+
+def test_embed_names_the_earliest_of_equal_worst_steps(monkeypatch):
+    # every step crosses delta; from index 300 on the up steps of 3 % are
+    # the worst, all equal, and the first of them lies in the fifth block
+    monkeypatch.setattr(continuous, "_ROW_BLOCK", 64)
+    col = np.where(np.arange(601) % 2 == 1, np.where(np.arange(601) < 300, 1.012, 1.03), 1.0)
+    path = PricePath(np.column_stack([col, np.ones(601)]), T=1.0)
+    assert embed(path, 0.016).N == 300  # only the 3 % steps cross 0.016
+    with pytest.raises(ValueError, match="at index 301;"):
+        embed(path, 0.01)
+
+
 @pytest.mark.parametrize("delta", [0.0, -0.1, math.nan, math.inf])
 def test_embed_refuses_degenerate_delta(delta):
     path = gen_gbm([0.0], [[0.3]], 1.0, 1e-3, 1)
@@ -527,11 +580,13 @@ def test_gen_gbm_peak_memory():
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss units are Linux's")
 def test_girsanov_peak_memory():
     # the d = 2 path of 2,250,001 points, then the scan's owner map of two
-    # bytes a point and the embedded run's moments: 1.6 path sizes measured
-    # here, against 2.2 when synthesis also held the draws and increments
+    # bytes a point and its splice records; the embedding's returns and the
+    # embedded run's moments are formed in blocks of rows.  1.50 path sizes
+    # measured here, against 1.60 when the run's moments covered the whole
+    # path at once and 2.2 when synthesis also held the draws and increments
     K, _ = continuous._grid(100.0, (0.01 / 1.5) ** 2)  # the experiment's grid
     call = "girsanov_rate_experiment([0.1, 0.1], 0.3 * np.eye(2), 100.0, 0.01, 1)"
-    assert peak_rss_ratio(call, path_bytes=(K + 1) * 2 * 8) <= 1.8
+    assert peak_rss_ratio(call, path_bytes=(K + 1) * 2 * 8) <= 1.55
 
 
 def test_gen_fbm_rejects_bad_hurst():

@@ -19,7 +19,7 @@ from gtpbet import (
     sos_capital_fast,
     universal_portfolio,
 )
-from gtpbet.domain import LEDGER_COLUMNS, as_prices
+from gtpbet.domain import LEDGER_COLUMNS, as_prices, running_moments
 
 
 def test_box_requires_origin_interior():
@@ -177,6 +177,30 @@ def test_as_path_width_from_the_array():
 def test_as_prices_names_the_first_bad_row(rows, cause):
     with pytest.raises(ValueError, match=f"^{cause}"):
         as_prices(np.array(rows))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_running_moments_bit_identical_to_broadcast_products(d):
+    # the outer products as one (N, d, 1) x (N, 1, d) broadcast, summed over
+    # the whole path at once; the path run in three pieces, each starting
+    # from the last rows of the one before, gives the same bits too
+    rng = np.random.default_rng(90 + d)
+    path = rng.standard_normal((3000, d)) * np.exp(rng.uniform(-8.0, 8.0, (3000, d)))
+    path[::11, 0] = -0.0
+    s0 = rng.standard_normal(d)
+    V0 = np.eye(d) + 0.1
+    want_s = np.cumsum(np.vstack([s0, path]), axis=0)
+    want_V = np.concatenate([V0[None], path[:, :, None] * path[:, None, :]])
+    np.cumsum(want_V, axis=0, out=want_V)
+    s, V = running_moments(path, s0, V0)
+    assert s.tobytes() == want_s.tobytes() and V.tobytes() == want_V.tobytes()
+    pieces_s, pieces_V = [s0[None]], [V0[None]]
+    for piece in (path[:1000], path[1000:1001], path[1001:]):
+        ps, pV = running_moments(piece, pieces_s[-1][-1], pieces_V[-1][-1])
+        pieces_s.append(ps[1:])
+        pieces_V.append(pV[1:])
+    assert np.concatenate(pieces_s).tobytes() == want_s.tobytes()
+    assert np.concatenate(pieces_V).tobytes() == want_V.tobytes()
 
 
 def test_as_prices_takes_an_empty_table():

@@ -350,6 +350,30 @@ def test_fast_rule_bit_identical_to_whole_array_reference(d):
     assert np.array_equal(sos_capital_fast(path, train, box), expect)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_fast_rule_blocks_bit_identical_to_whole_array_reference(d, monkeypatch):
+    # the reference of test_fast_rule_bit_identical_to_whole_array_reference,
+    # with the rounds in blocks of 64: the 4,000 rounds span 63 blocks, each
+    # starting from the running moments of the one before.  Compared as
+    # bytes, so that a gain of -0.0 where NumPy's row sum gives +0.0 fails
+    monkeypatch.setattr(gtpbet.sos, "_ROW_BLOCK", 64)
+    rng = np.random.default_rng(70 + d)
+    path = rng.uniform(-0.05, 0.05, size=(4000, d)) + 0.01
+    train = 0.06 * np.concatenate([np.eye(d), -np.eye(d)])
+    box = np.linspace(3.0, 5.0, d)
+    s, V = running_moments(path)
+    s = train.sum(axis=0) + s[:-1]
+    V = train.T @ train + V[:-1]
+    if d == 1:
+        alpha = s / V[:, 0]
+    else:
+        alpha = np.linalg.solve(V, s[:, :, None])[:, :, 0]
+    alpha = np.clip(alpha, -box, box)
+    assert np.any(np.abs(alpha) == box)
+    expect = np.log1p((alpha * path).sum(axis=1))
+    assert sos_capital_fast(path, train, box).tobytes() == expect.tobytes()
+
+
 def test_flat_path_in_one_dimensional_game():
     flat = np.array([0.1, -0.2, 0.3, 0.05])
     col = flat[:, None]
