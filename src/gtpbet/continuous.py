@@ -108,6 +108,12 @@ def _scan_crossings(S, d2):
     next, and resumes if the lineage merges into it; this bounds the work
     that a path whose scans never meet (a smooth one) can waste.  With one
     chain this is the plain greedy scan, one window at a time.
+
+    Memory: the map holds two bytes a grid point.  Every step records each
+    active chain's id (int16, as in the map) and anchor (int32 below 2^31
+    grid points).  The map, the windows and the hit buffer are released
+    before those records are sorted and spliced, so the scan peaks at the
+    map plus a few bytes a stop.  The stops are returned as int64.
     """
     K = S.shape[0] - 1
     cols = [S[:, c] for c in range(S.shape[1])]
@@ -121,15 +127,18 @@ def _scan_crossings(S, d2):
 
     owner = np.zeros(K + 1, np.int16)  # the chain that owns each index, 0 for none
     owner[0] = 1
-    ids = np.ones(1, np.int64)  # the active chains, numbered from 1
+    ids = np.ones(1, np.int16)  # the active chains, numbered from 1
     a = np.zeros(1, np.int64)  # their anchors, the last stop of each
     p = np.ones(1, np.int64)  # the next index each reads
     # per chain: the index past which it pauses (never, for the lineage),
     # the chain it merged into (0 for none), and where it halted
     lim = np.full(2, K + 1)
-    into, held_a, held_p = np.zeros((3, 2), np.int64)
+    into = np.zeros(2, np.int16)
+    held_a, held_p = np.zeros((2, 2), np.int64)
     line, M, total = 1, 1, 0
-    rec_ids, rec_a = [ids], [a]  # every chain's anchor after every step
+    # every chain's anchor after every step, narrow (see the docstring)
+    a_rec = np.int32 if K < 2**31 else np.int64
+    rec_ids, rec_a = [ids], [a.astype(a_rec)]
     gap, streak, hits, pmax = 16.0, 0, 0, 1
     pilot = True
     hit_buf = np.ones((0, 0), bool)
@@ -171,7 +180,7 @@ def _scan_crossings(S, d2):
         p = j + got
         pmax += B
         rec_ids.append(ids)
-        rec_a.append(a)
+        rec_a.append(a.astype(a_rec))
         # an index is owned by the first chain to land on it; of chains that
         # land on a free one together any may own it, as they go on alike
         o = owner[a]
@@ -194,7 +203,7 @@ def _scan_crossings(S, d2):
             if not (ids == line).any():
                 if held_p[line] > K:
                     break  # the lineage reached the horizon
-                ids = np.append(ids, line)
+                ids = np.append(ids, np.int16(line))
                 a = np.append(a, held_a[line])
                 p = np.append(p, held_p[line])
                 pmax = max(pmax, int(held_p[line]))
@@ -204,20 +213,26 @@ def _scan_crossings(S, d2):
             a0 = int(a[0])
             M = max(int(min((K - a0) / (gap * _SEGMENT), _MAX_CHAINS, K - a0)), 1)
             if M > 1:
-                ids = np.arange(1, M + 1)
-                a = a0 + (K - a0) * (ids - 1) // M
+                ids = np.arange(1, M + 1, dtype=np.int16)
+                a = a0 + (K - a0) * np.arange(M) // M
                 p = a + 1
                 owner[a] = ids
                 lim = np.full(M + 1, K + 1)
                 lim[2:-2] = a[3:]  # chain c starts at a[c - 1], pauses past a[c + 1]
-                into, held_a, held_p = np.zeros((3, M + 1), np.int64)
+                into = np.zeros(M + 1, np.int16)
+                held_a, held_p = np.zeros((2, M + 1), np.int64)
                 total, pmax = int(a.sum()), int(p[-1])
                 rec_ids.append(ids)
-                rec_a.append(a)
+                rec_a.append(a.astype(a_rec))
+    # the map, the windows and the hit buffer are done with before the splice
+    owner = hit_buf = hit = acc = r = None
+    views.clear()
     # each chain's records in step order; a step without a stop repeats one
-    rid = np.concatenate(rec_ids)
+    rid, ra = np.concatenate(rec_ids), np.concatenate(rec_a)
+    del rec_ids, rec_a
     order = np.argsort(rid, kind="stable")
-    rid, ra = rid[order], np.concatenate(rec_a)[order]
+    rid, ra = rid[order], ra[order]
+    del order
     new = np.ones(rid.size, bool)
     new[1:] = (rid[1:] != rid[:-1]) | (ra[1:] != ra[:-1])
     rid, ra = rid[new], ra[new]
@@ -229,7 +244,7 @@ def _scan_crossings(S, d2):
         if not into[c]:
             break
         after, c = mine[-1], into[c]
-    stops = np.concatenate(pieces)
+    stops = np.concatenate(pieces, dtype=np.int64)
     # every chain's first record is its start, not a stop it computed
     return stops, rid.size - M - stops.size
 
@@ -302,12 +317,15 @@ def _grid(T, grid_step):
 
 def _gbm_params(mu, sigma):
     """mu as a vector and sigma as a matrix of floats; a NaN or infinite
-    entry raises ValueError naming mu or sigma."""
+    entry raises ValueError naming mu or sigma, and a singular sigma
+    raises LinAlgError."""
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
     for name, value in (("mu", mu), ("sigma", sigma)):
         if not np.isfinite(value).all():
             raise ValueError(f"{name} must be finite, got {value.tolist()}")
+    if abs(np.linalg.det(sigma)) == 0.0:
+        raise np.linalg.LinAlgError("volatility matrix is singular")
     return mu, sigma
 
 
@@ -320,8 +338,6 @@ def gen_gbm(mu, sigma, T, grid_step, seed) -> PricePath:
     onto the row before the block: term by term one whole-path cumsum."""
     mu, sigma = _gbm_params(mu, sigma)
     d = mu.size
-    if abs(np.linalg.det(sigma)) == 0.0:
-        raise np.linalg.LinAlgError("volatility matrix is singular")
     K, h = _grid(T, grid_step)
     rng = np.random.default_rng(seed)
     drift = (mu - 0.5 * np.diag(sigma @ sigma.T)) * h
@@ -427,6 +443,8 @@ def gen_fbm(hurst, scale, T, grid_step, seed, d=1, dtype=np.float64) -> PricePat
     path.  The path is returned with T alone; its grid is not stored."""
     if not 0.0 < hurst < 1.0:
         raise ValueError("hurst must lie in (0, 1)")
+    if not math.isfinite(scale):
+        raise ValueError(f"scale must be finite, got {scale!r}")
     K, h = _grid(T, grid_step)
     rng = np.random.default_rng(seed)
     paths = np.empty((K + 1, d))

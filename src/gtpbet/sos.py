@@ -278,7 +278,8 @@ def sos_capital_fast(path, training, alpha_box):
             np.clip(a, -bound[i], bound[i], out=a)
             a *= x[:, i]
             g += a
-        s, V = s[-1], V[-1]
+        # copies, so that the block's moments are freed before the next block's
+        s, V = s[-1].copy(), V[-1].copy()
     return np.log1p(gains, out=gains)
 
 

@@ -59,15 +59,21 @@ def peak_rss_ratio(call, path_bytes=None):
     `call` is an expression over `gen_fbm`, `gen_gbm`,
     `girsanov_rate_experiment` and `np`, run in a fresh interpreter once
     numpy, scipy.fft and scipy.fftpack are imported, so the rise is the
-    call's own working memory.  Linux only: ru_maxrss is in KiB there.
+    call's own working memory.  The peak is VmHWM from /proc/self/status
+    (Linux only), the high-water mark of the interpreter's own memory.
+    ru_maxrss would not do: Linux carries it over from the process that
+    started the interpreter, so under a test run that peaked higher the
+    rise would read 0.
     """
     code = (
-        "import resource\n"
         "import numpy as np, scipy.fft, scipy.fftpack\n"
         "from gtpbet.continuous import gen_fbm, gen_gbm, girsanov_rate_experiment\n"
-        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "def peak():  # KiB\n"
+        "    with open('/proc/self/status') as f:\n"
+        "        return next(int(line.split()[1]) for line in f if line.startswith('VmHWM:'))\n"
+        "before = peak()\n"
         f"path = {call}\n"
-        "rise = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before\n"
+        "rise = peak() - before\n"
         f"print(rise * 1024 / {path_bytes or 'path.values.nbytes'})\n"
     )
     src = str(Path(gtpbet.__file__).resolve().parent.parent)

@@ -239,6 +239,27 @@ def test_holder_checks_every_delta_before_the_path(tmp_path, monkeypatch, delta)
         run_scenario({"scenario": "holder", "delta": delta}, tmp_path / "out")
 
 
+@pytest.mark.parametrize("scale", ["nan", "inf", "-inf"])
+def test_holder_refuses_a_non_finite_scale_before_the_noise(tmp_path, monkeypatch, scale):
+    from gtpbet import continuous
+
+    def no_noise(*args, **kwargs):
+        raise AssertionError("the fBm noise was synthesized before scale was checked")
+
+    monkeypatch.setattr(continuous, "_fgn_davies_harte", no_noise)
+    cfg = {"scenario": "holder", "scale": scale, "grid_step": repr(2.0**-10)}
+    with pytest.raises(ValueError, match=f"^scale must be finite, got {scale}$"):
+        run_scenario(cfg, tmp_path / "out")
+
+
+def test_girsanov_refuses_a_zero_volatility(tmp_path):
+    # refused as singular before the grid step (delta / (5 |sigma|))**2 is formed
+    for d in ("1", "2"):
+        cfg = {"scenario": "girsanov", "d": d, "sigma": "0", "T": "1", "delta": "0.05"}
+        with pytest.raises(np.linalg.LinAlgError, match="^volatility matrix is singular$"):
+            run_scenario(cfg, tmp_path / "out")
+
+
 @pytest.mark.parametrize(
     "cfg, key",
     [

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -299,6 +300,7 @@ def test_embed_blocks_bit_identical_to_whole_array_reference(monkeypatch):
     emb = embed(path, 0.01)
     stops, _ = continuous._scan_crossings(path.values, 0.01 * 0.01)
     assert emb.N > 30 * 64 and np.array_equal(emb.stop_indices, stops)
+    assert emb.stop_indices.dtype == stops.dtype == np.int64  # though recorded narrower
     outcomes, raws, final, _ = _embed_reference(path.values, stops, 0.01)
     assert emb.outcomes.tobytes() == outcomes.tobytes()
     assert emb.raw_returns.tobytes() == raws.tobytes()
@@ -354,6 +356,32 @@ def test_gbm_refuses_non_finite_drift_or_volatility(mu, sigma, name):
             girsanov_rate_experiment(mu, sigma, 1.0, 0.5, 7)
         with pytest.raises(ValueError, match=f"^{name} must be finite, got"):
             gen_gbm(mu, sigma, 1.0, 0.01, 7)
+
+
+@pytest.mark.parametrize("sigma", [[[0.0]], [[0.3, 0.0], [0.0, 0.0]], [[0.3, 0.3], [0.3, 0.3]]])
+def test_gbm_refuses_a_singular_volatility_before_the_grid(sigma):
+    # a zero volatility would divide by zero in girsanov's grid step
+    d = len(sigma)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError, match="^volatility matrix is singular$"):
+            girsanov_rate_experiment([0.1] * d, sigma, 1.0, 0.05, 7)
+        with pytest.raises(np.linalg.LinAlgError, match="^volatility matrix is singular$"):
+            gen_gbm([0.1] * d, sigma, 1.0, 0.01, 7)
+
+
+@pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf])
+def test_gen_fbm_refuses_a_non_finite_scale_before_the_noise(monkeypatch, scale):
+    monkeypatch.setattr(continuous, "_fgn_davies_harte", lambda *a, **k: pytest.fail("noise made"))
+    with pytest.raises(ValueError, match=f"^scale must be finite, got {scale!r}$"):
+        gen_fbm(0.3, scale, 1.0, 2.0**-10, 1)
+
+
+def test_gen_fbm_accepts_a_scale_of_zero_or_below():
+    flat = gen_fbm(0.3, 0.0, 1.0, 2.0**-8, 1)
+    assert np.array_equal(flat.values, np.ones((257, 1)))
+    up, down = gen_fbm(0.3, 0.1, 1.0, 2.0**-8, 1), gen_fbm(0.3, -0.1, 1.0, 2.0**-8, 1)
+    np.testing.assert_allclose(down.values * up.values, 1.0, rtol=1e-12)
 
 
 def test_embed_gbm_crossing_count():
@@ -560,7 +588,7 @@ def test_generators_reject_degenerate_grids(T, grid_step, name):
         gen_gbm([0.1], [[0.3]], T, grid_step, 0)
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss units are Linux's")
+@pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
 def test_gen_fbm_peak_memory():
     # the transform buffer of 2K doubles, pocketfft's plan and its scratch
     # make six path sizes (6.07 measured here); a second copy of the
@@ -568,7 +596,7 @@ def test_gen_fbm_peak_memory():
     assert peak_rss_ratio("gen_fbm(0.3, 0.1, 1.0, 2**-21, 1)") <= 8.0
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss units are Linux's")
+@pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
 def test_gen_gbm_peak_memory():
     # the increments are written into the path itself and the normals
     # pass through one small block: about one path size (1.06 measured
@@ -577,16 +605,35 @@ def test_gen_gbm_peak_memory():
     assert peak_rss_ratio(call) <= 1.5
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss units are Linux's")
+@pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
 def test_girsanov_peak_memory():
     # the d = 2 path of 2,250,001 points, then the scan's owner map of two
-    # bytes a point and its splice records; the embedding's returns and the
-    # embedded run's moments are formed in blocks of rows.  1.50 path sizes
-    # measured here, against 1.60 when the run's moments covered the whole
-    # path at once and 2.2 when synthesis also held the draws and increments
+    # bytes a point, freed before the splice of its narrow records; the
+    # embedding's returns and the embedded run's moments are formed in blocks
+    # of 2^13 rows.  1.31 path sizes measured here, against 1.52 with blocks
+    # of 2^16 rows and int64 splice records, 1.60 when the run's moments
+    # covered the whole path at once and 2.2 when synthesis also held the
+    # draws and increments
     K, _ = continuous._grid(100.0, (0.01 / 1.5) ** 2)  # the experiment's grid
     call = "girsanov_rate_experiment([0.1, 0.1], 0.3 * np.eye(2), 100.0, 0.01, 1)"
-    assert peak_rss_ratio(call, path_bytes=(K + 1) * 2 * 8) <= 1.55
+    assert peak_rss_ratio(call, path_bytes=(K + 1) * 2 * 8) <= 1.40
+
+
+def test_scan_peak_memory():
+    # the int16 owner map of two bytes a grid point, then chain ids of two
+    # bytes and anchors of four per step and chain, spliced after the map is
+    # freed: 13 bytes a stop above the map measured here, against 57 when
+    # the records were int64 and the map stayed alive through the splice
+    path = gen_gbm([0.1, 0.1], 0.3 * np.eye(2), 10.0, (0.01 / 1.5) ** 2, 1)
+    assert path.values.shape[0] == 225_001
+    tracemalloc.start()
+    try:
+        stops, _ = continuous._scan_crossings(path.values, 0.01 * 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stops.size > 14_000
+    assert peak <= 2 * path.values.shape[0] + 32 * stops.size
 
 
 def test_gen_fbm_rejects_bad_hurst():
