@@ -28,32 +28,28 @@ import numpy as np
 
 from .baselines import universal_portfolio_curves
 from .continuous import gen_gbm, girsanov_rate_experiment, gen_fbm, holder_experiment
-from .domain import Domain, GameConfig, _require_positive, make_training, write_csv
+from .domain import Domain, GameConfig, make_training, write_csv
 from .model_select import select_dimension
 from .sos import sos_run
 from .transform import read_price_csv, transform_returns
 
 
 def parse_config(path) -> dict:
-    cfg = {}
+    cfg, lines = {}, {}
     with open(path) as fh:
-        for raw in fh:
+        for number, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
                 raise ValueError(f"bad config line: {raw.rstrip()}")
             key, value = (s.strip() for s in line.split("=", 1))
-            cfg[key] = value
+            if not key:
+                raise ValueError(f"config line {number} has no key: {raw.rstrip()}")
+            if key in lines:
+                raise ValueError(f"config key {key} is set on lines {lines[key]} and {number}")
+            cfg[key], lines[key] = value, number
     return cfg
-
-
-def _fnum(cfg, key, default=None):
-    if key not in cfg:
-        if default is None:
-            raise KeyError(f"missing config key {key!r}")
-        return default
-    return _float(key, cfg[key])
 
 
 def _float(key, value):
@@ -62,11 +58,15 @@ def _float(key, value):
     raise ValueError(f"{key} must be a number, got {value!r}")
 
 
-def _inum(cfg, key, default):
-    """cfg[key], or default, as an int: a whole number such as 7, 7.0 or
-    7e0 (an integer literal exactly, whatever its size); any other value
-    raises ValueError naming the key and the value."""
-    value = cfg.get(key, default)
+def _floats(key, value):
+    """A whitespace-separated list of numbers, each parsed by _float, as a tuple."""
+    return tuple(_float(key, v) for v in value.split())
+
+
+def _int(key, value):
+    """value as an int: a whole number such as 7, 7.0 or 7e0 (an integer
+    literal exactly, whatever its size); any other value raises ValueError
+    naming the key and the value."""
     with contextlib.suppress(ValueError):
         return int(str(value))
     with contextlib.suppress(ValueError):
@@ -75,10 +75,8 @@ def _inum(cfg, key, default):
     raise ValueError(f"{key} must be an integer, got {value!r}")
 
 
-def _seed(cfg) -> int:
-    if "GTPBET_SEED" in os.environ:
-        return _inum(os.environ, "GTPBET_SEED", 0)
-    return _inum(cfg, "seed", 0)
+def _text(key, value):
+    return value
 
 
 def _imaginary_path(n_rounds: int) -> np.ndarray:
@@ -90,8 +88,8 @@ def _unit_corner_game() -> GameConfig:
     return GameConfig(domain=dom, training=make_training(dom, 0.1, "corners_2tod"))
 
 
-def _imaginary(cfg, seed, outdir):
-    res = sos_run(_unit_corner_game(), _imaginary_path(_inum(cfg, "N", 2000)))
+def _imaginary(p, seed, outdir):
+    res = sos_run(_unit_corner_game(), _imaginary_path(p["N"]))
     res.ledger.to_csv(
         outdir / "ledger.csv",
         series_path=outdir / "series.csv",
@@ -100,9 +98,9 @@ def _imaginary(cfg, seed, outdir):
     return res.summary()
 
 
-def _sos_csv(cfg, seed, outdir):
-    prices = read_price_csv(cfg["input"])
-    outcomes, game, _tr = transform_returns(prices, _fnum(cfg, "c", 0.17))
+def _sos_csv(p, seed, outdir):
+    prices = read_price_csv(p["input"])
+    outcomes, game, _tr = transform_returns(prices, p["c"])
     res = sos_run(game, outcomes)
     res.ledger.to_csv(
         outdir / "ledger.csv",
@@ -119,27 +117,22 @@ def _sos_csv(cfg, seed, outdir):
     return res.summary()
 
 
-def _sos_synthetic(cfg, seed, outdir):
-    d = _inum(cfg, "d", 1)
-    n_rounds = _inum(cfg, "N", 1000)
-    half = _fnum(cfg, "halfwidth", 0.5)
+def _sos_synthetic(p, seed, outdir):
+    d, half = p["d"], p["halfwidth"]
     rng = np.random.default_rng(seed)
     dom = Domain.box(-half * np.ones(d), half * np.ones(d))
-    game = GameConfig(
-        domain=dom, training=make_training(dom, _fnum(cfg, "epsilon0", 0.1))
-    )
-    path = rng.choice([-half, half], size=(n_rounds, d))
+    game = GameConfig(domain=dom, training=make_training(dom, p["epsilon0"]))
+    path = rng.choice([-half, half], size=(p["N"], d))
     res = sos_run(game, path)
     res.ledger.to_csv(outdir / "ledger.csv")
     return res.summary()
 
 
-def _universal_compare(cfg, seed, outdir):
-    n_rounds, n_accounts = _inum(cfg, "N", 500), _inum(cfg, "M", 100)
+def _universal_compare(p, seed, outdir):
     rng = np.random.default_rng(seed)
-    path = rng.uniform(-0.8, 0.8, size=(n_rounds, 1))
+    path = rng.uniform(-0.8, 0.8, size=(p["N"], 1))
     res = sos_run(_unit_corner_game(), path)
-    up0, up1 = universal_portfolio_curves(n_accounts, path)
+    up0, up1 = universal_portfolio_curves(p["M"], path)
     res.ledger.to_csv(outdir / "ledger.csv")
     # K1 by math.exp per value: np.exp rounds some values differently
     write_csv(outdir / "universal.csv", {
@@ -154,59 +147,65 @@ def _universal_compare(cfg, seed, outdir):
     return summary
 
 
-def _holder(cfg, seed, outdir):
-    hurst = _fnum(cfg, "H", 0.5)
-    deltas = [_float("delta", v) for v in cfg.get("delta", "0.02 0.01 0.005").split()]
-    for delta in deltas:  # before the path is synthesized
-        _require_positive(delta=delta)
-    path = gen_fbm(
-        hurst,
-        _fnum(cfg, "scale", 0.12),
-        _fnum(cfg, "T", 1.0),
-        _fnum(cfg, "grid_step", 1e-5),
-        seed,
-    )
-    rows, hs = holder_experiment(path, deltas)
+def _holder(p, seed, outdir):
+    path = gen_fbm(p["H"], p["scale"], p["T"], p["grid_step"], seed)
+    rows, hs = holder_experiment(path, p["delta"])
     # names from a fixed tuple, so that an empty grid writes the header
     write_csv(outdir / "holder.csv", {
         k: np.array([r[k] for r in rows])
         for k in ("delta", "N", "trV_N", "logK", "delta_alpha_norm")
     })
-    return {"H": hurst, "rows": rows, "H_estimates": hs}
+    return {"H": p["H"], "rows": rows, "H_estimates": hs}
 
 
-def _girsanov(cfg, seed, outdir):
-    d = _inum(cfg, "d", 1)
-    mu = np.full(d, _fnum(cfg, "mu", 0.1))
-    sigma = np.eye(d) * _fnum(cfg, "sigma", 0.3)
+def _girsanov(p, seed, outdir):
+    d = p["d"]
     return girsanov_rate_experiment(
-        mu, sigma, _fnum(cfg, "T", 50.0), _fnum(cfg, "delta", 0.01), seed
+        np.full(d, p["mu"]), np.eye(d) * p["sigma"], p["T"], p["delta"], seed
     )
 
 
-def _model_select(cfg, seed, outdir):
-    d_max = _inum(cfg, "d_max", 3)
-    n_rounds = _inum(cfg, "N", 300)
+def _model_select(p, seed, outdir):
+    d_max = p["d_max"]
     rng = np.random.default_rng(seed)
     drift = rng.uniform(0.05, 0.2, size=d_max)
     path = np.clip(
-        rng.uniform(-0.5, 0.5, size=(n_rounds, d_max)) + drift, -0.9, 0.9
+        rng.uniform(-0.5, 0.5, size=(p["N"], d_max)) + drift, -0.9, 0.9
     )
     report = select_dimension(path)
     report.to_csv(outdir / "model_select.csv")
     return {"selected": report.selected, "criterion": report.criterion.tolist()}
 
 
-# scenario name -> (runner(cfg, seed, outdir), the keys it reads besides
-# scenario and seed); the runner writes its outputs and returns the summary
+# Boundary checks, (test, condition): a value that fails the test raises
+# "<key> must be <condition>, got <value>" before any work.  A key that the
+# library refuses by name and value before any work has none.
+_UNIT = (lambda v: 0.0 < v < 1.0, "in (0, 1)")
+_POSITIVE = (lambda v: 0.0 < v < math.inf, "positive and finite")
+_AT_LEAST_1 = (lambda v: v >= 1, "at least 1")
+_AT_LEAST_2 = (lambda v: v >= 2, "at least 2")
+
+# scenario name -> (runner(params, seed, outdir), {key: (parse, default,
+# check)} for each key it reads besides scenario and seed); a key without a
+# default is required, a tuple is checked item by item, and the runner
+# writes its outputs and returns the summary
 SCENARIOS = {
-    "sos_csv": (_sos_csv, "input c"),
-    "sos_synthetic": (_sos_synthetic, "d N halfwidth epsilon0"),
-    "universal_compare": (_universal_compare, "N M"),
-    "holder": (_holder, "H delta scale T grid_step"),
-    "girsanov": (_girsanov, "d mu sigma T delta"),
-    "model_select": (_model_select, "d_max N"),
-    "imaginary": (_imaginary, "N"),
+    "sos_csv": (_sos_csv, {"input": (_text, None, None), "c": (_float, 0.17, _UNIT)}),
+    "sos_synthetic": (_sos_synthetic, {
+        "d": (_int, 1, _AT_LEAST_1), "N": (_int, 1000, _AT_LEAST_1),
+        "halfwidth": (_float, 0.5, _POSITIVE), "epsilon0": (_float, 0.1, _UNIT)}),
+    "universal_compare": (_universal_compare, {
+        "N": (_int, 500, _AT_LEAST_1), "M": (_int, 100, _AT_LEAST_2)}),
+    "holder": (_holder, {
+        "H": (_float, 0.5, _UNIT), "delta": (_floats, (0.02, 0.01, 0.005), _POSITIVE),
+        "scale": (_float, 0.12, None), "T": (_float, 1.0, None),
+        "grid_step": (_float, 1e-5, None)}),
+    "girsanov": (_girsanov, {
+        "d": (_int, 1, _AT_LEAST_1), "mu": (_float, 0.1, None), "sigma": (_float, 0.3, None),
+        "T": (_float, 50.0, None), "delta": (_float, 0.01, None)}),
+    "model_select": (_model_select, {
+        "d_max": (_int, 3, _AT_LEAST_1), "N": (_int, 300, _AT_LEAST_1)}),
+    "imaginary": (_imaginary, {"N": (_int, 2000, _AT_LEAST_1)}),
 }
 
 
@@ -232,11 +231,24 @@ def run_scenario(cfg: dict, outdir: Path) -> dict:
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}")
     runner, keys = SCENARIOS[scenario]
-    unread = sorted(set(cfg) - {"scenario", "seed", *keys.split()})
+    unread = sorted(set(cfg) - {"scenario", "seed", *keys})
     if unread:
         raise ValueError(f"scenario {scenario} reads no key {', '.join(unread)}")
+    params = {}  # every key parsed and checked before outdir is made
+    for key, (parse, default, check) in keys.items():
+        if key not in cfg and default is None:
+            raise ValueError(f"scenario {scenario} needs key {key}")
+        value = parse(key, cfg[key]) if key in cfg else default
+        for v in value if isinstance(value, tuple) else [value]:
+            if check and not check[0](v):
+                raise ValueError(f"{key} must be {check[1]}, got {v!r}")
+        params[key] = value
+    if "GTPBET_SEED" in os.environ:
+        seed = _int("GTPBET_SEED", os.environ["GTPBET_SEED"])
+    else:
+        seed = _int("seed", cfg.get("seed", 0))
     outdir.mkdir(parents=True, exist_ok=True)
-    summary = runner(cfg, _seed(cfg), outdir)
+    summary = runner(params, seed, outdir)
     with open(outdir / "summary.json", "w") as fh:
         fh.write(_summary_json(summary) + "\n")
     return summary

@@ -52,26 +52,20 @@ class PricePath:
     def d(self) -> int:
         return self.values.shape[1]
 
-    @property
-    def times(self) -> np.ndarray:
-        """The grid times, formed on each call: K + 1 evenly spaced from 0 to T."""
-        return np.linspace(0.0, self.T, self.values.shape[0])
-
 
 @dataclass(frozen=True)
 class Embedding:
     """delta-crossing discretization of a price path.
 
     outcomes are the crossing returns rescaled to norm exactly delta
-    (direction preserved); raw_returns are the unrescaled grid returns,
-    which compound exactly to the true prices at the stop times.  N
-    counts the stops strictly before the horizon T.
+    (direction preserved); the unrescaled returns, which compound exactly
+    to the true prices at the stop times, are the path's ratios between
+    consecutive stops.  N counts the stops strictly before the horizon T.
     """
 
     delta: float
     stop_indices: np.ndarray  # grid indices t_1 < t_2 < ... (t_0 = 0 implicit)
     outcomes: np.ndarray  # (N, d), on the sphere of radius delta
-    raw_returns: np.ndarray  # (N, d)
     final_return: np.ndarray  # return from the last stop to the horizon
     N: int
 
@@ -259,7 +253,7 @@ def embed(path: PricePath, delta: float) -> Embedding:
     reached merges into it, and the stops are spliced from the first
     chain's merges (see _scan_crossings).  They are those of one scan
     from index 0, bit for bit.  Their returns are formed column by column,
-    _ROW_BLOCK stops at a time.  A delta that is not positive and finite
+    _ROW_BLOCK stops at a time, in outcomes, and rescaled there.  A delta that is not positive and finite
     raises ValueError, and so does a single grid step whose return norm
     exceeds 2 delta: the sampling grid is then too coarse to localize the
     crossing.
@@ -267,7 +261,7 @@ def embed(path: PricePath, delta: float) -> Embedding:
     _require_positive(delta=delta)
     S = path.values
     stops, _ = _scan_crossings(S, delta * delta)
-    raws, outcomes = np.empty((2, stops.size, S.shape[1]))
+    outcomes = np.empty((stops.size, S.shape[1]))
     prev, worst, at = S[0], 0.0, 0  # t_0 = 0, then the stops
     for lo in range(0, stops.size, _ROW_BLOCK):
         idx = stops[lo : lo + _ROW_BLOCK]
@@ -276,13 +270,13 @@ def embed(path: PricePath, delta: float) -> Embedding:
         k = int(steps.argmax())
         if steps[k] > worst:  # the earliest worst step wins
             worst, at = float(steps[k]), int(idx[k])
-        raw = raws[lo : lo + idx.size]
-        np.divide(at_stop[0], prev, out=raw[0])
-        np.divide(at_stop[1:], at_stop[:-1], out=raw[1:])
-        raw -= 1.0
-        scale = delta / _row_norms(raw)
+        x = outcomes[lo : lo + idx.size]
+        np.divide(at_stop[0], prev, out=x[0])
+        np.divide(at_stop[1:], at_stop[:-1], out=x[1:])
+        x -= 1.0
+        scale = delta / _row_norms(x)
         for c in range(S.shape[1]):
-            np.multiply(raw[:, c], scale, out=outcomes[lo : lo + idx.size, c])
+            x[:, c] *= scale
         prev = at_stop[-1]
     if worst > 2.0 * delta:
         raise ValueError(
@@ -293,7 +287,6 @@ def embed(path: PricePath, delta: float) -> Embedding:
         delta=delta,
         stop_indices=stops,
         outcomes=outcomes,
-        raw_returns=raws,
         final_return=S[-1] / prev - 1.0,
         N=len(stops),
     )

@@ -64,7 +64,6 @@ class PhiProblem:
 class PhiSolution:
     alpha_star: np.ndarray
     phi_value: float
-    gradient_norm: float
     hessian: np.ndarray  # observed information at alpha*, positive definite
     iterations: int
 
@@ -84,13 +83,12 @@ def solve_phi(problem: PhiProblem, tol: float = 1e-10) -> PhiSolution:
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     X = problem.outcomes
-    alpha, phi, gnorm, hess, its = _newton_rows(
+    alpha, phi, _, hess, its = _newton_rows(
         X, _outer_rows(X), np.array([problem.m]), np.zeros(problem.d), tol, 200
     )
     return PhiSolution(
         alpha_star=alpha[0],
         phi_value=float(phi[0]),
-        gradient_norm=float(gnorm[0]),
         hessian=hess[0],
         iterations=int(its[0]),
     )

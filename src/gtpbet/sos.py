@@ -52,7 +52,6 @@ class SosResult:
     outcomes: np.ndarray  # (N, d), without training
     alpha_star: np.ndarray  # (N, d), alpha*_n after each round
     delta_phi: np.ndarray  # (N,)
-    phi00_alpha0: float  # training-only objective at its own optimum
     a_n: np.ndarray  # (N,) x_n' V_{0,n-1}^{-1} x_n (determinant recursion)
     iterations: np.ndarray  # (N,) Newton iterations that solved each round
 
@@ -230,7 +229,6 @@ def sos_run(
         outcomes=path,
         alpha_star=alphas,
         delta_phi=delta_phi,
-        phi00_alpha0=phi00_alpha0,
         a_n=a_seq,
         iterations=its,
     )

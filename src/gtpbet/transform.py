@@ -21,8 +21,6 @@ __all__ = ["ReturnTransform", "transform_returns", "read_price_csv"]
 
 @dataclass(frozen=True)
 class ReturnTransform:
-    s_max: np.ndarray  # per-item max daily return
-    s_min: np.ndarray  # per-item min daily return
     F: int
     rho: np.ndarray
 
@@ -54,7 +52,7 @@ def transform_returns(prices, c: float):
     z = (2.0 * returns - s_max - s_min) / (s_max - s_min)
     corners = make_training(Domain.box(-np.ones(d), np.ones(d)), 0.1, "corners_2tod")
     rho = (corners.points.sum(axis=0) + z[:F].sum(axis=0)) / (corners.n0 + F)
-    tr = ReturnTransform(s_max=s_max, s_min=s_min, F=F, rho=rho)
+    tr = ReturnTransform(F=F, rho=rho)
     outcomes = z[F:] - rho
     # the corners of the shifted box are the centered unit corners
     dom = Domain.box(-1.0 - rho, 1.0 - rho)

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import json
 import math
 import os
@@ -32,6 +33,13 @@ def test_parse_config(tmp_path):
     bad = write_config(tmp_path, "no equals sign here\n")
     with pytest.raises(ValueError):
         parse_config(bad)
+    # a key set twice is refused, naming both lines, not read as its last value
+    twice = write_config(tmp_path, "scenario = imaginary\nN = 50\n\nN = 70\n")
+    with pytest.raises(ValueError, match="^config key N is set on lines 2 and 4$"):
+        parse_config(twice)
+    blank = write_config(tmp_path, "scenario = imaginary\n= 5\n")
+    with pytest.raises(ValueError, match="^config line 2 has no key: = 5$"):
+        parse_config(blank)
 
 
 def test_run_imaginary(tmp_path, capsys):
@@ -219,7 +227,7 @@ def test_seed_env_override(tmp_path, monkeypatch):
     "cfg, message",
     [
         ({"scenario": "holder", "grid_step": "0.001", "delta": "0.02 inf"}, "delta must be positive"),
-        ({"scenario": "sos_synthetic", "N": "50", "halfwidth": "inf"}, "lo must be negative"),
+        ({"scenario": "sos_synthetic", "N": "50", "halfwidth": "inf"}, "halfwidth must be positive"),
     ],
 )
 def test_scenarios_refuse_non_finite_geometry(tmp_path, cfg, message):
@@ -298,10 +306,41 @@ def test_float_keys_refuse_a_non_number(tmp_path, monkeypatch, cfg, key, value):
     assert not (tmp_path / "out" / "summary.json").exists()
 
 
+@pytest.mark.parametrize(
+    "cfg, message",
+    [
+        ({"scenario": "sos_synthetic", "N": "-3"}, "N must be at least 1, got -3"),
+        ({"scenario": "sos_synthetic", "halfwidth": "-0.5"},
+         "halfwidth must be positive and finite, got -0.5"),
+        ({"scenario": "sos_synthetic", "epsilon0": "0"}, "epsilon0 must be in (0, 1), got 0.0"),
+        ({"scenario": "girsanov", "d": "0"}, "d must be at least 1, got 0"),
+        ({"scenario": "universal_compare", "M": "1"}, "M must be at least 2, got 1"),
+        ({"scenario": "imaginary", "N": "-5"}, "N must be at least 1, got -5"),
+        ({"scenario": "model_select", "N": "0"}, "N must be at least 1, got 0"),
+        ({"scenario": "model_select", "d_max": "0"}, "d_max must be at least 1, got 0"),
+        ({"scenario": "holder", "H": "1.5"}, "H must be in (0, 1), got 1.5"),
+        ({"scenario": "sos_csv", "input": "prices.csv", "c": "1.5"}, "c must be in (0, 1), got 1.5"),
+        pytest.param({"scenario": "sos_csv", "c": "0.2"}, "scenario sos_csv needs key input",
+                     id="sos_csv-input"),
+    ],
+    ids=lambda v: v["scenario"] if isinstance(v, dict) else v.split()[0],
+)
+def test_scenario_values_are_checked_before_any_work(tmp_path, monkeypatch, cfg, message):
+    import gtpbet.cli as cli
+    from gtpbet import continuous
+
+    for module, name in ((cli, "gen_fbm"), (continuous, "gen_gbm"), (cli, "sos_run")):
+        monkeypatch.setattr(module, name, lambda *a, name=name, **k: pytest.fail(f"{name} ran"))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_scenario(cfg | {"seed": "3"}, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 def test_seed_env_refuses_a_non_integer(tmp_path, monkeypatch):
     monkeypatch.setenv("GTPBET_SEED", "1e-3")
     with pytest.raises(ValueError, match="^GTPBET_SEED must be an integer, got '1e-3'$"):
         run_scenario({"scenario": "imaginary", "N": "20"}, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_integer_keys_take_whole_numbers_in_any_form(tmp_path, monkeypatch):
@@ -333,18 +372,25 @@ def test_every_public_name_has_a_caller_beyond_the_unit_tests():
     # a public name is kept only while the package's code, a demo, a
     # perfbench file or the acceptance suite uses it: a name or attribute
     # in their code counts, its def or class statement, its __all__ entry,
-    # an import and a docstring do not
+    # an import and a docstring do not.  A dataclass field or a property of
+    # a public class is kept only while such code reads it as an attribute
     root = Path(__file__).resolve().parent.parent
     files = [*Path(gtpbet.__file__).parent.glob("*.py"), *root.glob("demos/*.py"),
              *root.glob("perfbench/*.py"), root / "tests" / "test_acceptance.py"]
-    used = set()
+    names, attrs = set(), set()
     for f in files:
         for node in ast.walk(ast.parse(f.read_text())):
             if isinstance(node, ast.Name):
-                used.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-    assert sorted(set(gtpbet.__all__) - used) == []
+                attrs.add(node.attr)
+    assert sorted(set(gtpbet.__all__) - names - attrs) == []
+    members = []
+    for c in (c for c in map(gtpbet.__dict__.get, gtpbet.__all__) if isinstance(c, type)):
+        fields = [f.name for f in dataclasses.fields(c)] if dataclasses.is_dataclass(c) else []
+        props = [k for k, v in vars(c).items() if isinstance(v, property)]
+        members += [f"{c.__name__}.{m}" for m in fields + props if m not in attrs]
+    assert members == []
 
 
 def test_package_source_has_no_assert():
@@ -378,7 +424,7 @@ def test_scenario_refuses_a_key_it_does_not_read(tmp_path):
     ids=lambda cfg: cfg["scenario"],
 )
 def test_every_scenario_runs_with_every_key_it_reads(cfg, tmp_path):
-    assert set(cfg) - {"scenario"} == set(SCENARIOS[cfg["scenario"]][1].split())
+    assert set(cfg) - {"scenario"} == set(SCENARIOS[cfg["scenario"]][1])
     prices = 100.0 * np.cumprod(1.0 + np.random.default_rng(2).uniform(-0.03, 0.03, (40, 2)), axis=0)
     pf = tmp_path / "prices.csv"
     pf.write_text("day,A,B\n" + "".join(f"{i},{a!r},{b!r}\n" for i, (a, b) in enumerate(prices.tolist())))

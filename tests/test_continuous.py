@@ -264,7 +264,7 @@ def test_embed_without_a_stop(d):
     emb = embed(PricePath(values, T=1.0), 0.5)
     assert emb.N == 0
     assert emb.stop_indices.size == 0 and emb.stop_indices.dtype == np.int64
-    assert emb.outcomes.shape == emb.raw_returns.shape == (0, d)
+    assert emb.outcomes.shape == (0, d)
     assert np.array_equal(emb.final_return, values[-1] / values[0] - 1.0)
     logK, alpha = continuous._run_embedded_sos(emb)
     assert logK == 0.0 and not math.copysign(1.0, logK) < 0.0
@@ -282,13 +282,13 @@ def test_row_norms_bit_identical_to_linalg_norm(d):
 
 def _embed_reference(S, stops, delta):
     """embed's returns over whole arrays, each step a fresh array: outcomes,
-    raw returns, final return and the index of the first worst single step."""
+    final return and the index of the first worst single step."""
     prev = np.concatenate([[0], stops])
     raws = S[stops] / S[prev[:-1]] - 1.0
     steps = np.linalg.norm(S[stops] / S[stops - 1] - 1.0, axis=1)
     nrm = np.linalg.norm(raws, axis=1)
     outcomes = raws * (delta / nrm)[:, None]
-    return outcomes, raws, S[-1] / S[prev[-1]] - 1.0, int(stops[np.argmax(steps)])
+    return outcomes, S[-1] / S[prev[-1]] - 1.0, int(stops[np.argmax(steps)])
 
 
 def test_embed_blocks_bit_identical_to_whole_array_reference(monkeypatch):
@@ -301,9 +301,8 @@ def test_embed_blocks_bit_identical_to_whole_array_reference(monkeypatch):
     stops, _ = continuous._scan_crossings(path.values, 0.01 * 0.01)
     assert emb.N > 30 * 64 and np.array_equal(emb.stop_indices, stops)
     assert emb.stop_indices.dtype == stops.dtype == np.int64  # though recorded narrower
-    outcomes, raws, final, _ = _embed_reference(path.values, stops, 0.01)
+    outcomes, final, _ = _embed_reference(path.values, stops, 0.01)
     assert emb.outcomes.tobytes() == outcomes.tobytes()
-    assert emb.raw_returns.tobytes() == raws.tobytes()
     assert emb.final_return.tobytes() == final.tobytes()
     # a grid so coarse that single steps exceed 2 delta in many blocks
     coarse = gen_gbm([0.1, -0.05], sigma, 3.0, 1e-3, 17)
@@ -398,11 +397,14 @@ def test_embed_outcomes_on_sphere_and_compounding():
     norms = np.linalg.norm(emb.outcomes, axis=1)
     np.testing.assert_allclose(norms, delta, rtol=1e-12)
     assert emb.N * delta**2 == pytest.approx(np.sum(emb.outcomes**2), rel=1e-12)
-    # raw returns compound exactly to the true prices at the stops
-    compounded = path.values[0] * np.cumprod(1.0 + emb.raw_returns, axis=0)
-    np.testing.assert_allclose(
-        compounded, path.values[emb.stop_indices], rtol=1e-9
-    )
+    # the outcomes are the returns between stops, which compound to the
+    # true prices at the stops, rescaled to norm delta
+    S = path.values
+    raws = S[emb.stop_indices] / S[np.concatenate([[0], emb.stop_indices[:-1]])] - 1.0
+    compounded = S[0] * np.cumprod(1.0 + raws, axis=0)
+    np.testing.assert_allclose(compounded, S[emb.stop_indices], rtol=1e-9)
+    scaled = raws * (delta / np.linalg.norm(raws, axis=1))[:, None]
+    np.testing.assert_allclose(emb.outcomes, scaled, rtol=1e-12)
 
 
 def test_embed_grid_too_coarse():
@@ -553,7 +555,7 @@ def test_gen_fbm_bit_identical_to_plain_synthesis(K, hurst, d, dtype):
     step = 2.0**-20
     p = gen_fbm(hurst, 0.2, K * step, step, 17, d=d, dtype=dtype)
     times, values = _reference_fbm(hurst, 0.2, K * step, step, 17, d, dtype)
-    assert np.array_equal(p.times, times)
+    assert p.values.shape[0] == times.size and p.T == times[-1]
     assert np.array_equal(p.values, values)
 
 
@@ -564,7 +566,7 @@ def test_gen_gbm_bit_identical_to_plain_synthesis(d):
     for T, grid_step in ((1.0, 0.01), (3.0, 1e-5)):
         p = gen_gbm(mu, sigma, T, grid_step, 9)
         times, values = _reference_gbm(mu, sigma, T, grid_step, 9)
-        assert np.array_equal(p.times, times)
+        assert p.values.shape[0] == times.size and p.T == times[-1]
         assert np.array_equal(p.values, values)
 
 
@@ -677,8 +679,7 @@ def test_price_path_rows_must_match_times():
     with pytest.raises(ValueError, match=r"^1 price rows; a grid of \[0, T\] has at least 2$"):
         PricePath(np.ones((1, 3)), 2.0)
     flat = PricePath([1.0, 1.1, 1.2], 2.0)
-    assert flat.values.shape == (3, 1)
-    assert np.array_equal(flat.times, [0.0, 1.0, 2.0])
+    assert flat.values.shape == (3, 1) and flat.T == 2.0
     assert PricePath(np.ones((5, 1)), 2).T == 2.0
 
 

@@ -86,7 +86,9 @@ def test_solver_meets_kl_identity_and_optimality(seed, d, m, repeat):
         X = np.concatenate([X, X[-min(m, 5):]])
     problem = PhiProblem(X)
     sol = solve_phi(problem)
-    assert sol.gradient_norm <= 1e-10
+    # the gradient at alpha*, formed as the solver forms it
+    Y = problem.outcomes
+    assert np.linalg.norm((1.0 / (1.0 + sol.alpha_star[None] @ Y.T)) @ Y) <= 1e-10
     kl, check = kl_capital_identity(problem, sol, risk_neutral(problem, sol))
     assert check <= 1e-9 * problem.m
     assert kl >= 0.0
@@ -110,8 +112,13 @@ def test_embedding_lies_on_the_sphere_and_compounds(seed, d, delta, vol):
     emb = embed(path, delta)
     assert emb.N == len(emb.stop_indices) == len(emb.outcomes)
     np.testing.assert_allclose(np.linalg.norm(emb.outcomes, axis=1), delta, rtol=1e-12)
-    compounded = values[0] * np.cumprod(1.0 + emb.raw_returns, axis=0)
+    # the returns between stops compound to the prices at the stops, and
+    # the outcomes are those returns rescaled to norm delta
+    raws = values[emb.stop_indices] / values[np.concatenate([[0], emb.stop_indices[:-1]])] - 1.0
+    compounded = values[0] * np.cumprod(1.0 + raws, axis=0)
     np.testing.assert_allclose(compounded, values[emb.stop_indices], rtol=1e-11)
+    scaled = raws * (delta / np.linalg.norm(raws, axis=1))[:, None]
+    np.testing.assert_allclose(emb.outcomes, scaled, rtol=1e-12)
     last = values[emb.stop_indices[-1]] if emb.N else values[0]
     np.testing.assert_allclose(last * (1.0 + emb.final_return), values[-1], rtol=1e-12)
 

@@ -8,9 +8,10 @@ def test_hand_worked_example():
     prices = np.array([100.0, 110.0, 99.0, 104.5])
     # returns 0.10, -0.10, 0.0555...; extremes +-0.10
     outcomes, cfg, tr = transform_returns(prices, 0.26)  # F = floor(0.26*4) = 1
-    assert tr.s_max[0] == pytest.approx(0.10)
-    assert tr.s_min[0] == pytest.approx(-0.10)
     assert tr.F == 1
+    # the extreme returns map to -1 and +1: the min is the first live round,
+    # and the max, in the forecast block, enters rho below
+    assert outcomes[0, 0] + tr.rho[0] == pytest.approx(-1.0)
     # the unit returns z are 1, -1, 0.555...: rho averages the corner block
     # {-1, +1} with the first F=1 value z=1
     assert tr.rho[0] == pytest.approx((0.0 + 1.0) / 3.0)
