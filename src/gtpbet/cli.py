@@ -11,7 +11,7 @@ Scenarios are described by flat key=value config files, e.g.::
 
 Outputs (ledger CSV, summary JSON, long-format plot series) land next to
 the config or in --outdir.  The environment variable GTPBET_SEED
-overrides the configured seed.
+overrides the configured seed; either must be a whole number, at least 0.
 """
 
 from __future__ import annotations
@@ -90,11 +90,7 @@ def _unit_corner_game() -> GameConfig:
 
 def _imaginary(p, seed, outdir):
     res = sos_run(_unit_corner_game(), _imaginary_path(p["N"]))
-    res.ledger.to_csv(
-        outdir / "ledger.csv",
-        series_path=outdir / "series.csv",
-        series={"LK1": "logK_true", "LK0": "logK_hindsight"},
-    )
+    res.ledger.to_csv(outdir / "ledger.csv", series={"LK1": "logK_true", "LK0": "logK_hindsight"})
     return res.summary()
 
 
@@ -102,18 +98,9 @@ def _sos_csv(p, seed, outdir):
     prices = read_price_csv(p["input"])
     outcomes, game, _tr = transform_returns(prices, p["c"])
     res = sos_run(game, outcomes)
-    res.ledger.to_csv(
-        outdir / "ledger.csv",
-        series_path=outdir / "series.csv",
-        series={
-            "LK0": "logK_hindsight",
-            "LK1": "logK_true",
-            "LK2": "logK_approx",
-            "LD1": "LD1",
-            "LD2": "LD2",
-            "LD3": "LD3",
-        },
-    )
+    res.ledger.to_csv(outdir / "ledger.csv", series={
+        "LK0": "logK_hindsight", "LK1": "logK_true", "LK2": "logK_approx",
+        "LD1": "LD1", "LD2": "LD2", "LD3": "LD3"})
     return res.summary()
 
 
@@ -247,6 +234,8 @@ def run_scenario(cfg: dict, outdir: Path) -> dict:
         seed = _int("GTPBET_SEED", os.environ["GTPBET_SEED"])
     else:
         seed = _int("seed", cfg.get("seed", 0))
+    if seed < 0:  # NumPy's generators take none, so no scenario does
+        raise ValueError(f"seed must be at least 0, got {seed}")
     outdir.mkdir(parents=True, exist_ok=True)
     summary = runner(params, seed, outdir)
     with open(outdir / "summary.json", "w") as fh:

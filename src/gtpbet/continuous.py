@@ -351,7 +351,7 @@ def gen_gbm(mu, sigma, T, grid_step, seed) -> PricePath:
     return PricePath(values, T)
 
 
-def _fgn_davies_harte(n, hurst, rng, dtype=np.float64):
+def _fgn_davies_harte(n, hurst, rng, dtype):
     """Fractional Gaussian noise with exact covariance, unit steps.
 
     The circulant embedding (Davies & Harte 1987) lives in one length-2n
@@ -425,30 +425,27 @@ def _fgn_davies_harte(n, hurst, rng, dtype=np.float64):
     return buf[:n]
 
 
-def gen_fbm(hurst, scale, T, grid_step, seed, d=1, dtype=np.float64) -> PricePath:
-    """Exponential of fractional Brownian motion from 1, one independent
-    fBm per component.  Circulant (Davies-Harte) embedding gives exact
-    increment covariance.  The noise of each component is synthesized in
-    one buffer of 2K values of dtype and then summed in place into the float64
-    path.  The synthesis peaks at about three buffers of 2K values of dtype
-    (the buffer, pocketfft's plan, which SciPy keeps cached, and its
-    scratch); dtype=float32 halves that, but not the (K+1) x d float64
+def gen_fbm(hurst, scale, T, grid_step, seed, dtype=np.float64) -> PricePath:
+    """Exponential of fractional Brownian motion from 1, one column, with
+    exact increment covariance by circulant (Davies-Harte) embedding.  The
+    noise is synthesized in one buffer of 2K values of dtype, then summed
+    in place into the float64 path.  The synthesis peaks at about three
+    such buffers (the buffer, pocketfft's plan, which SciPy keeps cached,
+    and its scratch); dtype=float32 halves that, but not the K + 1 float64
     path.  The path is returned with T alone; its grid is not stored."""
     if not 0.0 < hurst < 1.0:
         raise ValueError("hurst must lie in (0, 1)")
     if not math.isfinite(scale):
         raise ValueError(f"scale must be finite, got {scale!r}")
     K, h = _grid(T, grid_step)
-    rng = np.random.default_rng(seed)
-    paths = np.empty((K + 1, d))
-    for j in range(d):
-        paths[0, j] = 0.0
-        paths[1:, j] = _fgn_davies_harte(K, hurst, rng, dtype=np.dtype(dtype))
-        np.cumsum(paths[1:, j], out=paths[1:, j])
-        paths[:, j] *= h**hurst
-    paths *= scale
-    np.exp(paths, out=paths)
-    return PricePath(paths, T)
+    path = np.empty(K + 1)
+    path[0] = 0.0
+    path[1:] = _fgn_davies_harte(K, hurst, np.random.default_rng(seed), np.dtype(dtype))
+    np.cumsum(path[1:], out=path[1:])
+    path *= h**hurst
+    path *= scale
+    np.exp(path, out=path)
+    return PricePath(path, T)
 
 
 _EPSILON0 = 0.1  # interiority margin of the embedded games' training

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -372,16 +373,16 @@ class CapitalLedger:
     def __len__(self) -> int:
         return self.n.size
 
-    def to_csv(self, path, series_path=None, series=None) -> None:
+    def to_csv(self, path, series=None) -> None:
         """Write one row per round with write_csv.
 
-        With series_path, also write the long-format file series,n,value:
-        for each name of series, a dict from series name to ledger column,
-        one row per round.
+        With series, a dict from series name to ledger column, also write
+        the long-format file series,n,value, one row per name and round, as
+        series.csv in path's directory.
         """
         write_csv(path, {c: getattr(self, c) for c in LEDGER_COLUMNS})
-        if series_path is not None:
-            write_csv(series_path, {
+        if series is not None:
+            write_csv(Path(path).with_name("series.csv"), {
                 "series": np.repeat(list(series), len(self)),
                 "n": np.tile(self.n, len(series)),
                 "value": np.ravel([getattr(self, c) for c in series.values()]),

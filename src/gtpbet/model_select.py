@@ -25,6 +25,8 @@ from .sos import sos_run
 
 __all__ = ["NestedGameReport", "select_dimension"]
 
+_EPSILON0 = 0.1  # training margin of the nested games
+
 
 @dataclass(frozen=True)
 class NestedGameReport:
@@ -47,7 +49,7 @@ class NestedGameReport:
         })
 
 
-def select_dimension(paths, epsilon0: float = 0.1) -> NestedGameReport:
+def select_dimension(paths) -> NestedGameReport:
     """Run the sequential strategy for every prefix dimension and pick the
     one maximizing the hindsight-minus-penalty criterion.
 
@@ -60,14 +62,14 @@ def select_dimension(paths, epsilon0: float = 0.1) -> NestedGameReport:
         raise ValueError("empty outcome sequence")
     # shared training: corners of the full box, projected per prefix
     full = Domain.box(-np.ones(d_max), np.ones(d_max))
-    signs = make_training(full, epsilon0, "corners_2tod").points
+    signs = make_training(full, _EPSILON0, "corners_2tod").points
     kl = np.empty(d_max)
     pen = np.empty(d_max)
     crit = np.empty(d_max)
     logk = np.empty(d_max)
     for d in range(1, d_max + 1):
         dom = Domain.box(-np.ones(d), np.ones(d))
-        train = TrainingSet(epsilon0=epsilon0, points=signs[:, :d].copy())
+        train = TrainingSet(epsilon0=_EPSILON0, points=signs[:, :d].copy())
         cfg = GameConfig(domain=dom, training=train)
         res = sos_run(cfg, paths[:, :d])
         led = res.ledger

@@ -68,7 +68,11 @@ class PhiSolution:
     iterations: int
 
 
-def solve_phi(problem: PhiProblem, tol: float = 1e-10) -> PhiSolution:
+_GRAD_TOL = 1e-10  # the gradient norm at which every Newton solve stops
+_MAX_ITER = 200  # and its iteration cap
+
+
+def solve_phi(problem: PhiProblem) -> PhiSolution:
     """Damped Newton ascent by the self-concordant step rule.
 
     -phi is a sum of log barriers, so the Newton decrement
@@ -77,14 +81,13 @@ def solve_phi(problem: PhiProblem, tol: float = 1e-10) -> PhiSolution:
     lam <= 0.68 and the step 1/(1 + lam) of it otherwise; both keep the
     iterates in the open feasible set and increase phi, with no function
     value and no line search.  Terminates when the gradient norm drops
-    to tol, starting at the origin.  This is the one-history case of the
-    batched solve behind the exact run.
+    to _GRAD_TOL, starting at the origin.  This is the one-history case of
+    the batched solve behind the exact run.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     X = problem.outcomes
+    origin = np.zeros(problem.d)
     alpha, phi, _, hess, its = _newton_rows(
-        X, _outer_rows(X), np.array([problem.m]), np.zeros(problem.d), tol, 200
+        X, _outer_rows(X), np.array([problem.m]), origin, origin, _GRAD_TOL, _MAX_ITER
     )
     return PhiSolution(
         alpha_star=alpha[0],
@@ -119,19 +122,21 @@ def _mask_beyond(M, ends, fill):
 _FULL_STEP = 0.68
 
 
-def _newton_rows(X, P, ends, start, tol, max_iter):
+def _newton_rows(X, P, ends, start, fallback, tol, max_iter):
     """solve_phi's damped Newton, run on B histories at once.
 
     Row b maximises phi over X[:ends[b]]; P is _outer_rows(X).  start
     is one point for every row, shape (d,), as solve_phi passes it, or
     one per row, shape (B, d), as the exact run passes its predicted
-    optima; a row whose start is infeasible (or NaN) for its own history
-    starts from the origin instead.  Every row follows solve_phi's step
-    rule on its own, and takes no further step once its gradient norm is
-    at most tol.  The products are taken over the whole block, so a row's
-    arithmetic does not depend on the other rows.  Raises SolverError for
-    the first row that fails.  Returns alpha (B, d), phi (B,), gradient
-    norms (B,), Hessians (B, d, d) and iteration counts (B,).
+    optima.  A row whose start is infeasible (or NaN) for its own history
+    starts from fallback, one point (d,) feasible for every row: the
+    origin for solve_phi, the previous block's last optimum for the exact
+    run.  Every row follows solve_phi's step rule on its own, and takes no
+    further step once its gradient norm is at most tol.  The products are
+    taken over the whole block, so a row's arithmetic does not depend on
+    the other rows.  Raises SolverError for the first row that fails.
+    Returns alpha (B, d), phi (B,), gradient norms (B,), Hessians
+    (B, d, d) and iteration counts (B,).
 
     The call allocates two (B, m) arrays once, for m = len(X): the
     residuals R = 1 + alpha.x, formed afresh from alpha after every
@@ -151,9 +156,10 @@ def _newton_rows(X, P, ends, start, tol, max_iter):
         R[:, lo:][beyond] = 1.0
         if it == 0:  # the min is NaN, and not > 0, for a NaN start
             bad = ~(R.min(axis=1) > 0.0)
-            if np.any(bad):  # infeasible start; the origin is always feasible
-                alpha[bad] = 0.0
-                R[bad] = 1.0
+            if np.any(bad):
+                alpha[bad] = fallback
+                R[bad] = 1.0 + X @ fallback
+                R[:, lo:][beyond] = 1.0
         np.divide(1.0, R, out=W)
         W[:, lo:][beyond] = 0.0
         grad = W @ X

@@ -24,6 +24,8 @@ from .domain import (
     running_moments,
 )
 from .optimizer import (
+    _GRAD_TOL,
+    _MAX_ITER,
     PhiProblem,
     SolverError,
     _mask_beyond,
@@ -91,7 +93,6 @@ def sos_run(
     config: GameConfig,
     path,
     *,
-    solver_tol: float = 1e-10,
     check_every: int = 64,
     check_tol_28b: float = 1e-6,
 ) -> SosResult:
@@ -105,10 +106,11 @@ def sos_run(
     the training-only optimum): a + H_n^{-1} g_n, where g_n is the
     gradient of phi over the history through round n at a and H_n minus
     its Hessian.  Over the history before the block the gradient is at
-    most solver_tol and H is the one that solve returned, so both need
-    only the block's own outcomes up to round n; a prediction infeasible
-    for its round's history falls back to the origin.  The result's
-    iterations hold each round's Newton iteration count.
+    most _GRAD_TOL and H is the one that solve returned, so both need
+    only the block's own outcomes up to round n.  A prediction infeasible
+    for its round's history starts from a instead, which lies inside the
+    training polytope and so keeps 1 + a.x > 0 on the whole domain.  The
+    result's iterations hold each round's Newton iteration count.
 
     Every check_every rounds the exact-relation identity alpha* = V*^{-1} s
     (with V* the reweighted second-moment matrix) and the determinant
@@ -128,7 +130,7 @@ def sos_run(
         raise ValueError(f"outcome at round {bad[0] + 1} lies outside the domain")
     train = config.training.points
     n0 = train.shape[0]
-    sol0 = solve_phi(PhiProblem(train), tol=solver_tol)
+    sol0 = solve_phi(PhiProblem(train))
     phi00_alpha0 = sol0.phi_value
 
     # the history, padded with zero outcomes to whole blocks: a zero outcome
@@ -152,7 +154,7 @@ def sos_run(
         start = alpha + np.linalg.solve(H.reshape(-1, d, d), grad[:, :, None])[:, :, 0]
         ends = np.arange(lo + 1, hi + 1)
         try:
-            blocks.append(_newton_rows(X[:hi], P[:hi], ends, start, solver_tol, 200))
+            blocks.append(_newton_rows(X[:hi], P[:hi], ends, start, alpha, _GRAD_TOL, _MAX_ITER))
         except SolverError as exc:
             n = ends[exc.row] - n0
             msg = f"solver failed at round {n}: {exc}"

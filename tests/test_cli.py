@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -103,13 +104,13 @@ def test_ledger_series_bytes_equal_per_value_format(tmp_path):
         for k, col in enumerate(LEDGER_COLUMNS[1:]):
             getattr(led, col)[:] = np.roll(values, k)
         series = {"a": "LD2", "b%d": "logK_true", "c": "LD2"}
-        led.to_csv(tmp_path / "l.csv", series_path=tmp_path / "s.csv", series=series)
+        led.to_csv(tmp_path / "l.csv", series=series)
         want = "series,n,value\n" + "".join(
             f"{name},{i},{format(float(v), '.17g')}\n"
             for name, col in series.items()
             for i, v in enumerate(getattr(led, col), start=1)
         )
-        assert (tmp_path / "s.csv").read_bytes() == want.encode()
+        assert (tmp_path / "series.csv").read_bytes() == want.encode()
         led.to_csv(tmp_path / "alone.csv")
         assert (tmp_path / "l.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
 
@@ -343,6 +344,20 @@ def test_seed_env_refuses_a_non_integer(tmp_path, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("source", ["config", "GTPBET_SEED"])
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_negative_seed_refused_before_outdir(tmp_path, monkeypatch, scenario, source):
+    cfg = {"scenario": scenario} | ({"input": "prices.csv"} if scenario == "sos_csv" else {})
+    if source == "config":
+        monkeypatch.delenv("GTPBET_SEED", raising=False)
+        cfg["seed"] = "-1"
+    else:
+        monkeypatch.setenv("GTPBET_SEED", "-1")
+    with pytest.raises(ValueError, match="^seed must be at least 0, got -1$"):
+        run_scenario(cfg, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 def test_integer_keys_take_whole_numbers_in_any_form(tmp_path, monkeypatch):
     monkeypatch.delenv("GTPBET_SEED", raising=False)
     plain = {"scenario": "sos_synthetic", "d": "2", "N": "50", "seed": "3"}
@@ -373,17 +388,25 @@ def test_every_public_name_has_a_caller_beyond_the_unit_tests():
     # perfbench file or the acceptance suite uses it: a name or attribute
     # in their code counts, its def or class statement, its __all__ entry,
     # an import and a docstring do not.  A dataclass field or a property of
-    # a public class is kept only while such code reads it as an attribute
+    # a public class is kept only while such code reads it as an attribute.
+    # An optional parameter of a public function, method or constructor is
+    # kept only while such code passes it, by position or by keyword, to a
+    # call of that name; a dataclass's constructor is its fields
     root = Path(__file__).resolve().parent.parent
     files = [*Path(gtpbet.__file__).parent.glob("*.py"), *root.glob("demos/*.py"),
              *root.glob("perfbench/*.py"), root / "tests" / "test_acceptance.py"]
-    names, attrs = set(), set()
+    names, attrs, passed = set(), set(), {}
     for f in files:
         for node in ast.walk(ast.parse(f.read_text())):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 attrs.add(node.attr)
+            if isinstance(node, ast.Call):
+                # per callee name: the most positional arguments and every keyword
+                callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                n, kw = passed.get(callee, (0, set()))
+                passed[callee] = max(n, len(node.args)), kw | {k.arg for k in node.keywords}
     assert sorted(set(gtpbet.__all__) - names - attrs) == []
     members = []
     for c in (c for c in map(gtpbet.__dict__.get, gtpbet.__all__) if isinstance(c, type)):
@@ -391,6 +414,23 @@ def test_every_public_name_has_a_caller_beyond_the_unit_tests():
         props = [k for k, v in vars(c).items() if isinstance(v, property)]
         members += [f"{c.__name__}.{m}" for m in fields + props if m not in attrs]
     assert members == []
+    calls = []  # (callee name, function, leading parameters a call does not pass)
+    for name, obj in ((n, getattr(gtpbet, n)) for n in gtpbet.__all__):
+        if inspect.isfunction(obj):
+            calls.append((name, obj, 0))
+        for m, v in vars(obj).items() if isinstance(obj, type) else ():
+            v = getattr(v, "__func__", v)  # a classmethod's function
+            init = m == "__init__" and not dataclasses.is_dataclass(obj)
+            if inspect.isfunction(v) and (init or not m.startswith("_")):
+                calls.append((name if init else m, v, 1))
+    unpassed = []
+    for callee, fn, skip in calls:
+        n, kw = passed.get(callee, (0, set()))
+        for i, p in enumerate(list(inspect.signature(fn).parameters.values())[skip:]):
+            by_position = i < n and p.kind != p.KEYWORD_ONLY
+            if p.default is not p.empty and not by_position and p.name not in kw:
+                unpassed.append(f"{fn.__qualname__}({p.name})")
+    assert unpassed == []
 
 
 def test_package_source_has_no_assert():

@@ -1,7 +1,7 @@
 """Property tests over random inputs: the running moments, the prefix
-consistency of both strategies, the solver's KL identity and optimality,
-the crossing scan against its definition, and the invariants of the
-crossing embedding."""
+consistency of both strategies, the solvency of the exact run's optima,
+the solver's KL identity and optimality, the crossing scan against its
+definition, and the invariants of the crossing embedding."""
 
 import numpy as np
 import pytest
@@ -9,11 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gtpbet import (
+    Domain,
+    GameConfig,
     PhiProblem,
     continuous,
     PricePath,
     embed,
     kl_capital_identity,
+    make_training,
     risk_neutral,
     running_moments,
     solve_phi,
@@ -74,6 +77,25 @@ def test_exact_run_is_prefix_consistent(seed, d, n, data):
             getattr(part.ledger, col), getattr(full.ledger, col)[:k]
         )
     np.testing.assert_array_equal(part.alpha_star, full.alpha_star[:k])
+
+
+@PROPERTY
+@given(seed=seeds, d=dims, n=st.integers(1, 60), corners=st.booleans())
+def test_every_optimum_keeps_every_outcome_of_the_path_solvent(seed, d, n, corners):
+    # the exact run restarts an infeasible Newton start from the previous
+    # block's last optimum, which needs that optimum feasible for the
+    # outcomes still to come: on a box skewed up to 100:1, whose outcomes
+    # lean toward one end of each side, so the optima sit near the edge
+    rng = np.random.default_rng(seed)
+    side = 10.0 ** rng.uniform(-1, 1, size=d)
+    ratio = 10.0 ** rng.uniform(-2, 2, size=d)
+    dom = Domain.box(-side, side * ratio)
+    game = GameConfig(domain=dom, training=make_training(
+        dom, 0.1, "corners_2tod" if corners else "axis_2d"))
+    u = rng.uniform(size=(n, d)) ** (10.0 ** rng.uniform(-1, 1, size=d))
+    path = dom.lo + u * (dom.hi - dom.lo)
+    alpha = sos_run(game, path).alpha_star
+    assert np.all(1.0 + alpha @ path.T > 0.0)
 
 
 @PROPERTY

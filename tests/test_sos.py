@@ -527,7 +527,12 @@ def test_newton_rows_per_row_starts_and_fallback():
         x = X[ends[b] - 1]
         start[b] = -2.0 * x / (x @ x)
     start[5] = np.nan
-    alpha, phi, gnorm, hess, its = _newton_rows(X, _outer_rows(X), ends, start, 1e-10, 200)
+    # the first row's optimum lies inside the training polytope, so it is
+    # feasible for every row's history
+    fallback = own[0].alpha_star
+    alpha, phi, gnorm, hess, its = _newton_rows(
+        X, _outer_rows(X), ends, start, fallback, 1e-10, 200
+    )
     for b, sol in enumerate(own):
         np.testing.assert_allclose(alpha[b], sol.alpha_star, rtol=0.0, atol=1e-9)
         assert abs(phi[b] - sol.phi_value) <= 1e-9 * max(1.0, abs(sol.phi_value))
@@ -538,7 +543,7 @@ def test_newton_rows_per_row_starts_and_fallback():
     assert np.all(its[[1, 4, 5, 7]] > 0)
 
 
-def reference_newton_rows(X, P, ends, start, tol, max_iter):
+def reference_newton_rows(X, P, ends, start, fallback, tol, max_iter):
     """_newton_rows with per-row gathers: each step updates only the rows
     still iterating, every array is fresh, and the start's feasibility is
     tested on the residuals themselves.  Returns _newton_rows' five
@@ -548,8 +553,9 @@ def reference_newton_rows(X, P, ends, start, tol, max_iter):
     R = _mask_beyond(1.0 + alpha @ X.T, ends, 1.0)
     bad = ~np.all(R > 0.0, axis=1)
     if np.any(bad):
-        alpha[bad] = 0.0
-        R[bad] = 1.0
+        alpha[bad] = fallback
+        R[bad] = 1.0 + X @ fallback
+        R = _mask_beyond(R, ends, 1.0)
     W = _mask_beyond(1.0 / R, ends, 0.0)
     grad = W @ X
     gnorm = np.linalg.norm(grad, axis=1)
@@ -585,14 +591,14 @@ def reference_newton_rows(X, P, ends, start, tol, max_iter):
     return (alpha, phi, gnorm, hess, its), damped
 
 
-def newton_rows_both(X, ends, start, tol=1e-10, max_iter=200):
+def newton_rows_both(X, ends, start, fallback, tol=1e-10, max_iter=200):
     """_newton_rows and its per-row reference on one block: asserts that
     alpha, phi, the gradient norms, the Hessians and the iteration counts
     are equal bit for bit, and returns the reference's counts of damped
     steps and iteration counts."""
     P = _outer_rows(X)
-    want, damped = reference_newton_rows(X, P, ends, start, tol, max_iter)
-    got = _newton_rows(X, P, ends, start, tol, max_iter)
+    want, damped = reference_newton_rows(X, P, ends, start, fallback, tol, max_iter)
+    got = _newton_rows(X, P, ends, start, fallback, tol, max_iter)
     for name, w, g in zip(("alpha", "phi", "gnorm", "hess", "its"), want, got):
         assert np.array_equal(w, g), name
     return damped, want[4]
@@ -622,7 +628,7 @@ def test_newton_rows_backtracking_matches_per_row_reference():
     X = np.concatenate([train, (1.0 / (np.arange(1, 301) + 1.0))[:, None]])
     ends = np.repeat([len(train) + 50, len(train) + 200, len(X)], 11)
     start = np.tile(np.linspace(-0.9, 0.9, 11), 3)[:, None]
-    damped, its = newton_rows_both(X, ends, start)
+    damped, its = newton_rows_both(X, ends, start, np.zeros(1))
     assert 0 < np.sum(damped > 0) < len(ends)
 
 
@@ -633,7 +639,7 @@ def test_newton_rows_edge_starts_match_per_row_reference(d):
     ends = rng.integers(n0 + 1, len(X) + 1, size=32)
     # every row starts far enough out to take damped steps and ends with
     # full ones
-    damped, its = newton_rows_both(X, ends, starts_toward_the_edge(X, ends, rng))
+    damped, its = newton_rows_both(X, ends, starts_toward_the_edge(X, ends, rng), np.zeros(d))
     assert np.all(damped > 0)
     assert np.all(damped < its)
 
@@ -641,24 +647,27 @@ def test_newton_rows_edge_starts_match_per_row_reference(d):
 def mixed_start_block(d):
     """A block of 16 rows whose starts are: the row's own optimum (rows
     0, 5), infeasible for the row's own history (rows 2, 9), NaN (rows 3,
-    12) and, elsewhere, toward the edge of the feasible set."""
+    12) and, elsewhere, toward the edge of the feasible set.  Returns the
+    block and a fallback: row 0's optimum, inside the training polytope
+    and so feasible for every row."""
     X, rng = drifting_history(d, 80, 90 + d)
     n0 = corner_game(d).training.n0
     ends = np.sort(rng.integers(n0 + 1, len(X) + 1, size=16))
     start = starts_toward_the_edge(X, ends, rng)
-    (alpha, *_), _ = reference_newton_rows(X, _outer_rows(X), ends, start, 1e-10, 200)
+    P = _outer_rows(X)
+    (alpha, *_), _ = reference_newton_rows(X, P, ends, start, np.zeros(d), 1e-10, 200)
     start[[0, 5]] = alpha[[0, 5]]
     for b in (2, 9):  # 1 + alpha.x = -1 at the row's own last outcome
         x = X[ends[b] - 1]
         start[b] = -2.0 * x / (x @ x)
     start[[3, 12]] = np.nan
-    return X, ends, start
+    return X, ends, start, alpha[0]
 
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_newton_rows_mixed_starts_match_per_row_reference(d):
-    X, ends, start = mixed_start_block(d)
-    damped, its = newton_rows_both(X, ends, start)
+    X, ends, start, fallback = mixed_start_block(d)
+    damped, its = newton_rows_both(X, ends, start, fallback)
     assert np.all(its[[0, 5]] == 0)
     assert np.all(its[[2, 3, 9, 12]] > 0)
     assert np.any(damped > 0)
@@ -666,12 +675,12 @@ def test_newton_rows_mixed_starts_match_per_row_reference(d):
 
 @pytest.mark.parametrize("max_iter", [1, 2])
 def test_newton_rows_iteration_cap_matches_per_row_reference(max_iter):
-    X, ends, start = mixed_start_block(2)
+    X, ends, start, fallback = mixed_start_block(2)
     P = _outer_rows(X)
     with pytest.raises(SolverError) as want:
-        reference_newton_rows(X, P, ends, start, 1e-10, max_iter)
+        reference_newton_rows(X, P, ends, start, fallback, 1e-10, max_iter)
     with pytest.raises(SolverError) as got:
-        _newton_rows(X, P, ends, start, 1e-10, max_iter)
+        _newton_rows(X, P, ends, start, fallback, 1e-10, max_iter)
     assert want.value.row == got.value.row > 0
     assert str(got.value) == str(want.value)
     assert np.array_equal(got.value.alpha, want.value.alpha)
@@ -688,32 +697,43 @@ def test_newton_rows_working_memory():
     start = starts_toward_the_edge(X, ends, rng, 0.0, 0.5)
     tracemalloc.start()
     try:
-        _newton_rows(X, P, ends, start, 1e-10, 200)
+        _newton_rows(X, P, ends, start, np.zeros(2), 1e-10, 200)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 5 * B * m * 8
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_exact_run_keeps_rejected_trials_quiet():
-    # on this path one predicted start is infeasible for its round's
-    # history and falls back to the origin; that may not leak a
-    # RuntimeWarning
+def skewed_run():
+    """The exact run on a path where one predicted start, in the second
+    block, is infeasible for its round's history."""
     dom = Domain.box([-0.01], [1.0])
     game = GameConfig(domain=dom, training=make_training(dom, 0.1, "corners_2tod"))
     path = np.random.default_rng(0).uniform(-0.01, 1.0, size=(120, 1))
-    res = sos_run(game, path)
-    assert np.all(np.isfinite(res.ledger.logK_true))
+    return sos_run(game, path)
 
 
-def test_solver_failure_keeps_its_type_and_names_the_round():
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_exact_run_keeps_rejected_trials_quiet():
+    # the infeasible start restarts from the previous block's last optimum;
+    # that may not leak a RuntimeWarning
+    assert np.all(np.isfinite(skewed_run().ledger.logK_true))
+
+
+def test_infeasible_start_restarts_from_the_previous_optimum():
+    # restarted from the origin, the affected block took 34 iterations
+    its = skewed_run().iterations
+    assert its[_BLOCK : 2 * _BLOCK].max() <= 12
+
+
+def test_solver_failure_keeps_its_type_and_names_the_round(monkeypatch):
     # no gradient norm reaches 1e-300 but one that rounds to exactly 0, which
     # at d = 1 happens often enough that some rounds converge; at d = 3 both
-    # rounds here fail
+    # rounds here fail.  The training-only solve keeps its own tolerance
+    monkeypatch.setattr(gtpbet.sos, "_GRAD_TOL", 1e-300)
     path = np.array([[0.3, 0.1, -0.2], [0.1, -0.4, 0.6]])
     with pytest.raises(SolverError, match="solver failed at round [12]: no convergence") as info:
-        sos_run(corner_game(3), path, solver_tol=1e-300)
+        sos_run(corner_game(3), path)
     assert isinstance(info.value, RuntimeError)
     assert info.value.alpha.shape == (3,)
     assert info.value.grad_norm > 1e-300
