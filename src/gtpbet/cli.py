@@ -28,7 +28,7 @@ import numpy as np
 
 from .baselines import universal_portfolio_curves
 from .continuous import gen_gbm, girsanov_rate_experiment, gen_fbm, holder_experiment
-from .domain import Domain, GameConfig, make_training, write_csv
+from .domain import _MAX_CORNER_D, Domain, GameConfig, make_training, write_csv
 from .model_select import select_dimension
 from .sos import sos_run
 from .transform import read_price_csv, transform_returns
@@ -164,13 +164,16 @@ def _model_select(p, seed, outdir):
     return {"selected": report.selected, "criterion": report.criterion.tolist()}
 
 
-# Boundary checks, (test, condition): a value that fails the test raises
-# "<key> must be <condition>, got <value>" before any work.  A key that the
-# library refuses by name and value before any work has none.
-_UNIT = (lambda v: 0.0 < v < 1.0, "in (0, 1)")
-_POSITIVE = (lambda v: 0.0 < v < math.inf, "positive and finite")
-_AT_LEAST_1 = (lambda v: v >= 1, "at least 1")
-_AT_LEAST_2 = (lambda v: v >= 2, "at least 2")
+# Boundary checks, each a tuple of (test, condition): the first test that a
+# value fails raises "<key> must be <condition>, got <value>" before any
+# work.  A key that the library refuses by name and value before any work
+# has none.
+_UNIT = ((lambda v: 0.0 < v < 1.0, "in (0, 1)"),)
+_POSITIVE = ((lambda v: 0.0 < v < math.inf, "positive and finite"),)
+_AT_LEAST_1 = ((lambda v: v >= 1, "at least 1"),)
+_AT_LEAST_2 = ((lambda v: v >= 2, "at least 2"),)
+# model_select's shared training is the 2^d_max sign corners
+_CORNER_D = _AT_LEAST_1 + ((lambda v: v <= _MAX_CORNER_D, f"between 1 and {_MAX_CORNER_D}"),)
 
 # scenario name -> (runner(params, seed, outdir), {key: (parse, default,
 # check)} for each key it reads besides scenario and seed); a key without a
@@ -191,7 +194,7 @@ SCENARIOS = {
         "d": (_int, 1, _AT_LEAST_1), "mu": (_float, 0.1, None), "sigma": (_float, 0.3, None),
         "T": (_float, 50.0, None), "delta": (_float, 0.01, None)}),
     "model_select": (_model_select, {
-        "d_max": (_int, 3, _AT_LEAST_1), "N": (_int, 300, _AT_LEAST_1)}),
+        "d_max": (_int, 3, _CORNER_D), "N": (_int, 300, _AT_LEAST_1)}),
     "imaginary": (_imaginary, {"N": (_int, 2000, _AT_LEAST_1)}),
 }
 
@@ -227,8 +230,9 @@ def run_scenario(cfg: dict, outdir: Path) -> dict:
             raise ValueError(f"scenario {scenario} needs key {key}")
         value = parse(key, cfg[key]) if key in cfg else default
         for v in value if isinstance(value, tuple) else [value]:
-            if check and not check[0](v):
-                raise ValueError(f"{key} must be {check[1]}, got {v!r}")
+            for test, condition in check or ():
+                if not test(v):
+                    raise ValueError(f"{key} must be {condition}, got {v!r}")
         params[key] = value
     if "GTPBET_SEED" in os.environ:
         seed = _int("GTPBET_SEED", os.environ["GTPBET_SEED"])

@@ -453,17 +453,16 @@ _EPSILON0 = 0.1  # interiority margin of the embedded games' training
 
 def _run_embedded_sos(emb: Embedding):
     """Fast sequential strategy over an embedding.  Returns the final log
-    capital, including the residual period from the last stop to the
-    horizon, and the final unclipped V^{-1} s.  With no stop, s is the sum
-    of the +-c axis training points, exactly zero, so both are zero."""
+    capital, the residual period from the last stop to the horizon
+    included, and the unclipped bet V^{-1} s that sos_capital_fast forms
+    after the last stop, which that period plays clipped.  With no stop,
+    s is the sum of the +-c axis training points, exactly zero, so both
+    are zero."""
     d = emb.outcomes.shape[1]
     training = game_config_for_embedding(emb.delta, d).training.points
     bound = 1.0 / training.max()
-    logK = float(np.sum(sos_capital_fast(emb.outcomes, training, bound)))
-    # residual period: the final sub-delta return at the standing bet
-    s = training.sum(axis=0) + emb.outcomes.sum(axis=0)
-    V = training.T @ training + emb.outcomes.T @ emb.outcomes
-    alpha = np.linalg.solve(V, s)
+    gains, alpha = sos_capital_fast(emb.outcomes, training, bound)
+    logK = float(np.sum(gains))
     logK += math.log(1.0 + float(np.clip(alpha, -bound, bound) @ emb.final_return))
     return logK, alpha
 
@@ -472,8 +471,11 @@ def holder_experiment(path: PricePath, delta_grid):
     """Capital and quadratic variation across a grid of crossing radii.
 
     Returns a list of dicts {delta, N, trV_N, logK, delta_alpha_norm} plus
-    the implied roughness exponents between consecutive radii (solving
-    tr V_N proportional to delta^(2 - 1/H)).
+    the implied roughness exponents between consecutive radii a and b.
+    tr V_N = N delta^2 grows like delta^(2 - 1/H), so N like delta^(-1/H),
+    and H is formed from the counts, log(delta_a/delta_b) / log(N_b/N_a):
+    from tr V_N the delta^2 would cancel only up to rounding.  It is NaN
+    when either count is 0 or the two are equal.
     """
     rows = []
     for delta in delta_grid:
@@ -491,11 +493,8 @@ def holder_experiment(path: PricePath, delta_grid):
         )
     hs = []
     for a, b in zip(rows[:-1], rows[1:]):
-        if a["trV_N"] > 0.0 and b["trV_N"] > 0.0:
-            ratio = math.log(a["trV_N"] / b["trV_N"]) / math.log(
-                a["delta"] / b["delta"]
-            )
-            hs.append(1.0 / (2.0 - ratio))
+        if a["N"] and b["N"] and a["N"] != b["N"]:
+            hs.append(math.log(a["delta"] / b["delta"]) / math.log(b["N"] / a["N"]))
         else:
             hs.append(float("nan"))
     return rows, hs
@@ -503,15 +502,20 @@ def holder_experiment(path: PricePath, delta_grid):
 
 def girsanov_rate_experiment(mu, sigma, T, delta, seed):
     """Simulated growth rate of the embedded strategy under GBM vs the
-    analytic target 0.5 mu' (sigma sigma')^{-1} mu.  The grid step is
-    (delta / (5 max_i |sigma_i|))^2, so a one-step return is about a fifth
-    of delta."""
+    analytic target 0.5 mu' (sigma sigma')^{-1} mu.  The grid step bounds
+    both moves of one step: it is (delta / (5 max_i |sigma_i|))^2 for the
+    noise and, unless mu = 0, at most delta / (5 max_i |mu_i|) for the
+    drift, so a one-step return is about a fifth of delta."""
     from .baselines import kelly_gbm_rate
 
     _require_positive(delta=delta)
     mu, sigma = _gbm_params(mu, sigma)
     smax = float(np.max(np.linalg.norm(sigma, axis=1)))
-    path = gen_gbm(mu, sigma, T, (delta / (5.0 * smax)) ** 2, seed)
+    step = (delta / (5.0 * smax)) ** 2
+    mmax = float(np.max(np.abs(mu)))
+    if mmax > 0.0:
+        step = min(step, delta / (5.0 * mmax))
+    path = gen_gbm(mu, sigma, T, step, seed)
     emb = embed(path, delta)
     logK, _ = _run_embedded_sos(emb)
     return {

@@ -157,6 +157,9 @@ class TrainingSet:
             raise ValueError("training points must span R^d")
 
 
+_MAX_CORNER_D = 20  # the largest d whose 2^d sign corners make_training builds
+
+
 def make_training(domain: Domain, epsilon0: float, scheme: str = "axis_2d") -> TrainingSet:
     """Build the training set for a domain.
 
@@ -182,8 +185,8 @@ def make_training(domain: Domain, epsilon0: float, scheme: str = "axis_2d") -> T
     if scheme == "corners_2tod":
         if domain.kind != "box":
             raise ValueError("corners_2tod requires a box domain")
-        if d > 20:
-            raise ValueError("corners_2tod limited to d <= 20")
+        if d > _MAX_CORNER_D:
+            raise ValueError(f"corners_2tod limited to d <= {_MAX_CORNER_D}")
         # sign corners of the box: lo_i or hi_i in each coordinate
         grid = np.stack(
             np.meshgrid(*[(domain.lo[i], domain.hi[i]) for i in range(d)], indexing="ij"),
@@ -322,10 +325,11 @@ def _read_csv(path) -> np.ndarray:
     if not rows:
         raise ValueError("no price rows found")
     data = np.asarray(rows, dtype=float)
-    ok = np.isfinite(data)
+    ok = np.isfinite(data) & (data > 0.0)
     if not ok.all():
         i, j = np.argwhere(~ok)[0]
-        raise ValueError(f"line {lines[i]}: non-finite value {data[i, j]} in column {j + 2}")
+        what = "non-positive price" if np.isfinite(data[i, j]) else "non-finite value"
+        raise ValueError(f"line {lines[i]}: {what} {data[i, j]} in column {j + 2}")
     return data
 
 

@@ -237,7 +237,7 @@ def sos_run(
 
 
 def sos_capital_fast(path, training, alpha_box):
-    """Per-round log gains of the first-order sequential strategy.
+    """Per-round log gains of the first-order sequential strategy, and its next bet.
 
     For high-frequency embeddings (hundreds of thousands of tiny
     outcomes) the exact per-round re-optimization is replaced by the
@@ -246,12 +246,14 @@ def sos_capital_fast(path, training, alpha_box):
     prudence box implied by axis training and keeps every growth factor
     positive.
 
-    s and V before each round are the training totals plus the running
-    moments of the path, which do not depend on the bets.  They run column
-    by column, _ROW_BLOCK rounds at a time, with the same bits as at once.
+    s and V are the training totals plus the running moments of the path,
+    which do not depend on the bets.  They run column by column,
+    _ROW_BLOCK rounds at a time (an empty path is one empty block), with
+    the same bits as at once, and each block forms the rule on every row.
 
-    Returns the log gains log(1 + alpha_n . x_n), one per round; their
-    sum is the final log capital and their cumulative sum its path.
+    Returns (gains, bet): the log gains log(1 + alpha_n . x_n), one per
+    round, whose sum is the final log capital, and the rule after the last
+    round, unclipped: bit for bit the bet of a round N + 1 before the box.
     """
     training = as_path(training)
     d = training.shape[1]
@@ -260,27 +262,26 @@ def sos_capital_fast(path, training, alpha_box):
     bound = np.broadcast_to(np.asarray(alpha_box, dtype=float), (d,))
     gains = np.zeros(path.shape[0])  # a row sum starts from +0.0, as NumPy's does
     s = V = None
-    for lo in range(0, path.shape[0], _ROW_BLOCK):
+    for lo in range(0, max(path.shape[0], 1), _ROW_BLOCK):
         x = path[lo : lo + _ROW_BLOCK]
         s, V = running_moments(x, s, V)
-        sb, Vb = s[:-1], V[:-1]  # before each round
+        last = s[-1].copy(), V[-1].copy()  # the next block's start; copies free this one
         for i in range(d):
-            sb[:, i] += train_s[i]
+            s[:, i] += train_s[i]
             for j in range(d):
-                Vb[:, i, j] += train_V[i, j]
+                V[:, i, j] += train_V[i, j]
         if d == 1:
-            alpha = sb / Vb[:, 0]
+            alpha = s / V[:, 0]
         else:
-            alpha = np.linalg.solve(Vb, sb[:, :, None])[:, :, 0]
+            alpha = np.linalg.solve(V, s[:, :, None])[:, :, 0]
         g = gains[lo : lo + x.shape[0]]
         for i in range(d):
-            a = alpha[:, i]
+            a = alpha[:-1, i]  # the bets of the block's rounds
             np.clip(a, -bound[i], bound[i], out=a)
             a *= x[:, i]
             g += a
-        # copies, so that the block's moments are freed before the next block's
-        s, V = s[-1].copy(), V[-1].copy()
-    return np.log1p(gains, out=gains)
+        s, V = last
+    return np.log1p(gains, out=gains), alpha[-1].copy()
 
 
 def deficiency_constants(config: GameConfig):

@@ -63,6 +63,7 @@ def transform_returns(prices, c: float):
 def read_price_csv(path) -> np.ndarray:
     """Prices from a CSV with a header row; column 1 is a date or index
     (ignored), columns 2..d+1 are prices.  A row whose column count is not
-    the header's, or with a price cell that is empty, not a number, NaN
-    or infinite, raises ValueError naming its line in the file."""
+    the header's, or with a price cell that is empty, not a number, NaN,
+    infinite, zero or negative, raises ValueError naming its line in the
+    file."""
     return _read_csv(path)

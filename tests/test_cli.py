@@ -337,6 +337,35 @@ def test_scenario_values_are_checked_before_any_work(tmp_path, monkeypatch, cfg,
     assert not (tmp_path / "out").exists()
 
 
+def test_d_max_beyond_the_corner_limit_refused_before_outdir(tmp_path, monkeypatch):
+    # the 2^d_max training corners stop at the limit that make_training keeps
+    import gtpbet.cli as cli
+    from gtpbet.domain import _MAX_CORNER_D, Domain, make_training
+
+    monkeypatch.setattr(cli, "select_dimension", lambda *a, **k: pytest.fail("ran"))
+    for d_max in (_MAX_CORNER_D + 1, 25):
+        message = f"d_max must be between 1 and {_MAX_CORNER_D}, got {d_max}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_scenario({"scenario": "model_select", "d_max": str(d_max)}, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+    dom = Domain.box(-np.ones(_MAX_CORNER_D + 1), np.ones(_MAX_CORNER_D + 1))
+    with pytest.raises(ValueError, match=f"^corners_2tod limited to d <= {_MAX_CORNER_D}$"):
+        make_training(dom, 0.1, "corners_2tod")
+
+
+@pytest.mark.parametrize("delta", ["0.05 0.049", "0.05 0.05"])
+def test_holder_estimate_is_null_for_equal_counts(tmp_path, delta):
+    # both radii stop equally often on this path (3 stops), so the counts
+    # say nothing of H; a repeated radius used to divide by zero
+    cfg = {"scenario": "holder", "H": "0.4", "scale": "0.1", "T": "0.5",
+           "grid_step": "1e-4", "delta": delta, "seed": "1"}
+    summary = run_scenario(cfg, tmp_path / "out")
+    assert [r["N"] for r in summary["rows"]] == [3, 3]
+    assert np.isnan(summary["H_estimates"][0])
+    written = _strict_json((tmp_path / "out" / "summary.json").read_text())
+    assert written["H_estimates"] == [None]
+
+
 def test_seed_env_refuses_a_non_integer(tmp_path, monkeypatch):
     monkeypatch.setenv("GTPBET_SEED", "1e-3")
     with pytest.raises(ValueError, match="^GTPBET_SEED must be an integer, got '1e-3'$"):

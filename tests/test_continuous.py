@@ -15,6 +15,7 @@ from gtpbet import (
     gen_gbm,
     girsanov_rate_experiment,
     holder_experiment,
+    sos_capital_fast,
 )
 from conftest import peak_rss_ratio, reference_stops
 
@@ -269,6 +270,37 @@ def test_embed_without_a_stop(d):
     logK, alpha = continuous._run_embedded_sos(emb)
     assert logK == 0.0 and not math.copysign(1.0, logK) < 0.0
     assert np.array_equal(alpha, np.zeros(d)) and not np.signbit(alpha).any()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_fast_rule_bet_is_the_next_rounds_and_the_residual_periods(d):
+    # 20,000 drifting outcomes on the sphere span three blocks of the fast
+    # rule, and the drift pushes the late bets beyond the box
+    delta = 0.01
+    rng = np.random.default_rng(80 + d)
+    g = rng.standard_normal((20000, d)) + 2.0
+    x = g * (delta / np.linalg.norm(g, axis=1))[:, None]
+    train = continuous.game_config_for_embedding(delta, d).training.points
+    box = 1.0 / train.max()
+    gains, last = sos_capital_fast(x, train, box)
+    beyond = False
+    for k in (0, 1, 2, 8191, 8192, 8193, 16384, 19999):
+        bet = sos_capital_fast(x[:k], train, box)[1]
+        assert bet.shape == (d,)
+        beyond |= bool(np.any(np.abs(bet) > box))  # returned unclipped
+        # round k + 1's gain: the clipped bet times x, summed in column
+        # order from +0.0, as the rule sums it
+        acc = 0.0
+        for i in range(d):
+            acc += np.clip(bet[i], -box, box) * x[k, i]
+        assert np.log1p(acc).tobytes() == gains[k].tobytes()
+    assert beyond
+    final = rng.uniform(-delta, delta, d) / math.sqrt(d)
+    emb = continuous.Embedding(delta, np.arange(1, x.shape[0] + 1), x, final, x.shape[0])
+    logK, alpha = continuous._run_embedded_sos(emb)
+    assert alpha.tobytes() == last.tobytes()
+    residual = math.log1p(float(np.clip(last, -box, box) @ final))
+    assert logK == pytest.approx(float(np.sum(gains)) + residual, rel=0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -644,6 +676,44 @@ def test_holder_experiment_gbm_estimates():
     assert all(0.4 <= h <= 0.6 for h in hs)
     for r in rows:
         assert r["trV_N"] == pytest.approx(r["N"] * r["delta"] ** 2)
+
+
+def test_holder_estimates_come_from_the_counts():
+    # radii 0.05 / 0.049, 0.04 / 0.039 and 0.02 / 0.0199 stop equally often
+    # on this path; from tr V_N their estimates were rounding noise
+    # (-1.1e15, 8.8e13, -3.6e13)
+    path = gen_fbm(0.4, 0.1, 0.5, 1e-4, 1)
+    deltas = [0.05, 0.049, 0.04, 0.039, 0.02, 0.0199, 0.01]
+    rows, hs = holder_experiment(path, deltas)
+    counts = [r["N"] for r in rows]
+    assert counts[0::2][:3] == counts[1::2]
+    assert all(math.isnan(h) for h in hs[0::2])
+    for a, b, h in zip(rows[:-1], rows[1:], hs):
+        if a["N"] != b["N"]:
+            assert h == math.log(a["delta"] / b["delta"]) / math.log(b["N"] / a["N"])
+            assert 0.2 < h < 0.7
+    assert math.isnan(holder_experiment(path, [0.05, 0.05])[1][0])
+
+
+def test_girsanov_grid_bounds_the_drift_step(monkeypatch):
+    # with mu = 5 and sigma = 0.01 the noise alone would allow a step of 1,
+    # whose drift moves the price by a factor e^5 in one step
+    out = girsanov_rate_experiment([5.0], [[0.01]], 1.0, 0.05, 1)
+    assert out["N"] > 0
+    steps = []
+    real = continuous.gen_gbm
+
+    def spy(mu, sigma, T, grid_step, seed):
+        steps.append(grid_step)
+        return real(mu, sigma, T, grid_step, seed)
+
+    monkeypatch.setattr(continuous, "gen_gbm", spy)
+    girsanov_rate_experiment([5.0, -6.0], 0.01 * np.eye(2), 0.1, 0.05, 1)
+    girsanov_rate_experiment([0.1, 0.0], 0.3 * np.eye(2), 1.0, 0.05, 1)
+    girsanov_rate_experiment([0.0], [[0.3]], 1.0, 0.05, 1)
+    # the drift bound where it is the smaller; the noise bound, as it was,
+    # elsewhere
+    assert steps == [0.05 / 30.0, (0.05 / 1.5) ** 2, (0.05 / 1.5) ** 2]
 
 
 def test_girsanov_zero_drift():

@@ -222,7 +222,7 @@ ENTRY_POINTS = {
     "universal_portfolio": lambda p: universal_portfolio(UniversalPortfolioConfig(M=10), p),
     "PhiProblem": lambda p: PhiProblem(p).outcomes,
     "TrainingSet": lambda p: TrainingSet(epsilon0=0.1, points=p).points,
-    "sos_capital_fast training": lambda p: sos_capital_fast(np.full(5, 0.01), p, 1.0),
+    "sos_capital_fast training": lambda p: sos_capital_fast(np.full(5, 0.01), p, 1.0)[0],
 }
 
 

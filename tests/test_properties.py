@@ -59,9 +59,9 @@ def test_fast_rule_is_prefix_consistent(seed, d, n, data):
     path = rng.uniform(-0.05, 0.05, size=(n, d)) + rng.uniform(-0.02, 0.02, size=d)
     c = 0.05 * np.sqrt(d) / 0.9
     train = c * np.concatenate([np.eye(d), -np.eye(d)])
-    gains = sos_capital_fast(path, train, 1.0 / c)
+    gains = sos_capital_fast(path, train, 1.0 / c)[0]
     assert gains.shape == (n,)
-    np.testing.assert_array_equal(sos_capital_fast(path[:k], train, 1.0 / c), gains[:k])
+    np.testing.assert_array_equal(sos_capital_fast(path[:k], train, 1.0 / c)[0], gains[:k])
 
 
 @settings(max_examples=10, deadline=None, derandomize=True)

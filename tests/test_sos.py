@@ -256,7 +256,7 @@ def test_fast_rule_tracks_exact_run_on_small_outcomes():
     cfg = game_config_for_embedding(delta, 1)
     res = sos_run(cfg, path)
     c = delta / 0.9
-    fast = np.sum(sos_capital_fast(path, np.array([[c], [-c]]), 1.0 / c))
+    fast = np.sum(sos_capital_fast(path, np.array([[c], [-c]]), 1.0 / c)[0])
     assert abs(fast - res.ledger.logK_true[-1]) < 0.05 * max(
         1.0, abs(res.ledger.logK_true[-1])
     )
@@ -266,9 +266,9 @@ def test_fast_rule_checkpoints_prefix_consistent():
     rng = np.random.default_rng(8)
     path = rng.uniform(-0.02, 0.02, size=(500, 3))
     train = 0.05 * np.concatenate([np.eye(3), -np.eye(3)])
-    cps = np.cumsum(sos_capital_fast(path, train, 20.0))
-    full = np.sum(sos_capital_fast(path, train, 20.0))
-    part = np.sum(sos_capital_fast(path[:200], train, 20.0))
+    cps = np.cumsum(sos_capital_fast(path, train, 20.0)[0])
+    full = np.sum(sos_capital_fast(path, train, 20.0)[0])
+    part = np.sum(sos_capital_fast(path[:200], train, 20.0)[0])
     assert cps[199] == pytest.approx(part, abs=1e-12)
     assert cps[499] == pytest.approx(full, abs=1e-12)
 
@@ -314,8 +314,8 @@ def test_fast_rule_matches_per_round_reference(d, drift):
     gains, alphas = reference_fast_rule(path, train, bound)
     if drift:  # the drifting path pushes the bets onto the box
         assert np.any(np.abs(alphas) == bound)
-    total = np.sum(sos_capital_fast(path, train, bound))
-    got = np.cumsum(sos_capital_fast(path, train, bound))
+    total = np.sum(sos_capital_fast(path, train, bound)[0])
+    got = np.cumsum(sos_capital_fast(path, train, bound)[0])
     last = got[-1]
     running = np.cumsum(gains)
     if d == 1:
@@ -348,7 +348,7 @@ def test_fast_rule_bit_identical_to_whole_array_reference(d):
     alpha = np.clip(alpha, -box, box)
     assert np.any(np.abs(alpha) == box)  # the drift pushes bets onto the box
     expect = np.log1p((alpha * path).sum(axis=1))
-    assert np.array_equal(sos_capital_fast(path, train, box), expect)
+    assert np.array_equal(sos_capital_fast(path, train, box)[0], expect)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -372,7 +372,7 @@ def test_fast_rule_blocks_bit_identical_to_whole_array_reference(d, monkeypatch)
     alpha = np.clip(alpha, -box, box)
     assert np.any(np.abs(alpha) == box)
     expect = np.log1p((alpha * path).sum(axis=1))
-    assert sos_capital_fast(path, train, box).tobytes() == expect.tobytes()
+    assert sos_capital_fast(path, train, box)[0].tobytes() == expect.tobytes()
 
 
 def test_flat_path_in_one_dimensional_game():
@@ -385,7 +385,7 @@ def test_flat_path_in_one_dimensional_game():
     )
     train = np.array([[2.0], [-2.0]])
     np.testing.assert_array_equal(
-        sos_capital_fast(flat, train, 0.5), sos_capital_fast(col, train, 0.5)
+        sos_capital_fast(flat, train, 0.5)[0], sos_capital_fast(col, train, 0.5)[0]
     )
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,24 @@ def test_non_finite_price_cell_names_its_line(tmp_path, row, cause):
     f = tmp_path / "prices.csv"
     f.write_text(f"date,A,B\n2020-01-01,100,50\n\n{row}\n2020-01-04,101,49\n")
     with pytest.raises(ValueError, match=f"^{cause}$"):
+        read_price_csv(f)
+
+
+@pytest.mark.parametrize(
+    "text, cause",
+    [
+        ("day,A\n0,100\n1,-1\n2,99\n", "line 3: non-positive price -1.0 in column 2"),
+        ("day,A,B\n0,100,5\n\n2,101,0\n3,nan,5\n", "line 4: non-positive price 0.0 in column 3"),
+        ("day,A,B\n0,100,5\n1,inf,-0.0\n", "line 3: non-finite value inf in column 2"),
+    ],
+    ids=["negative", "zero-after-a-blank-line", "non-finite-first"],
+)
+def test_non_positive_price_names_its_line(tmp_path, text, cause):
+    # refused by the reader, by file line, before transform_returns sees it;
+    # the first bad cell in file order is named
+    f = tmp_path / "prices.csv"
+    f.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(cause)}$"):
         read_price_csv(f)
 
 
