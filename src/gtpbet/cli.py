@@ -27,9 +27,9 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import universal_portfolio_curves
-from .continuous import gen_gbm, girsanov_rate_experiment, gen_fbm, holder_experiment
-from .domain import _MAX_CORNER_D, Domain, GameConfig, make_training, write_csv
-from .model_select import select_dimension
+from .continuous import _grid, gen_gbm, girsanov_rate_experiment, gen_fbm, holder_experiment
+from .domain import Domain, GameConfig, make_training, write_csv
+from .model_select import _MAX_D, select_dimension
 from .sos import sos_run
 from .transform import read_price_csv, transform_returns
 
@@ -172,8 +172,8 @@ _UNIT = ((lambda v: 0.0 < v < 1.0, "in (0, 1)"),)
 _POSITIVE = ((lambda v: 0.0 < v < math.inf, "positive and finite"),)
 _AT_LEAST_1 = ((lambda v: v >= 1, "at least 1"),)
 _AT_LEAST_2 = ((lambda v: v >= 2, "at least 2"),)
-# model_select's shared training is the 2^d_max sign corners
-_CORNER_D = _AT_LEAST_1 + ((lambda v: v <= _MAX_CORNER_D, f"between 1 and {_MAX_CORNER_D}"),)
+# the most items whose nested games select_dimension runs
+_ITEMS = _AT_LEAST_1 + ((lambda v: v <= _MAX_D, f"between 1 and {_MAX_D}"),)
 
 # scenario name -> (runner(params, seed, outdir), {key: (parse, default,
 # check)} for each key it reads besides scenario and seed); a key without a
@@ -194,7 +194,7 @@ SCENARIOS = {
         "d": (_int, 1, _AT_LEAST_1), "mu": (_float, 0.1, None), "sigma": (_float, 0.3, None),
         "T": (_float, 50.0, None), "delta": (_float, 0.01, None)}),
     "model_select": (_model_select, {
-        "d_max": (_int, 3, _CORNER_D), "N": (_int, 300, _AT_LEAST_1)}),
+        "d_max": (_int, 3, _ITEMS), "N": (_int, 300, _AT_LEAST_1)}),
     "imaginary": (_imaginary, {"N": (_int, 2000, _AT_LEAST_1)}),
 }
 
@@ -234,6 +234,8 @@ def run_scenario(cfg: dict, outdir: Path) -> dict:
                 if not test(v):
                     raise ValueError(f"{key} must be {condition}, got {v!r}")
         params[key] = value
+    if "grid_step" in params:  # a degenerate or unindexable grid, before outdir
+        _grid(params["T"], params["grid_step"])
     if "GTPBET_SEED" in os.environ:
         seed = _int("GTPBET_SEED", os.environ["GTPBET_SEED"])
     else:

@@ -103,11 +103,12 @@ def _scan_crossings(S, d2):
     that a path whose scans never meet (a smooth one) can waste.  With one
     chain this is the plain greedy scan, one window at a time.
 
-    Memory: the map holds two bytes a grid point.  Every step records each
-    active chain's id (int16, as in the map) and anchor (int32 below 2^31
-    grid points).  The map, the windows and the hit buffer are released
-    before those records are sorted and spliced, so the scan peaks at the
-    map plus a few bytes a stop.  The stops are returned as int64.
+    The map, two bytes a grid point, is the one record of the landings: a
+    chain's are the indices it owns past its start.  So the stops are the
+    first chain's up to its merge, then its owner's up to that one's, and
+    so on.  Once the windows are freed they are read into an int64 slot a
+    landing, so the scan peaks at the map plus 8 bytes a landing.  The
+    other landings are the discarded stops.
     """
     K = S.shape[0] - 1
     cols = [S[:, c] for c in range(S.shape[1])]
@@ -125,14 +126,12 @@ def _scan_crossings(S, d2):
     a = np.zeros(1, np.int64)  # their anchors, the last stop of each
     p = np.ones(1, np.int64)  # the next index each reads
     # per chain: the index past which it pauses (never, for the lineage),
-    # the chain it merged into (0 for none), and where it halted
+    # the chain it merged into (0 for none) and where, and where it halted
     lim = np.full(2, K + 1)
     into = np.zeros(2, np.int16)
+    at = np.zeros(2, np.int64)
     held_a, held_p = np.zeros((2, 2), np.int64)
-    line, M, total = 1, 1, 0
-    # every chain's anchor after every step, narrow (see the docstring)
-    a_rec = np.int32 if K < 2**31 else np.int64
-    rec_ids, rec_a = [ids], [a.astype(a_rec)]
+    line, total = 1, 0
     gap, streak, hits, pmax = 16.0, 0, 0, 1
     pilot = True
     hit_buf = np.ones((0, 0), bool)
@@ -173,8 +172,6 @@ def _scan_crossings(S, d2):
             streak += 1
         p = j + got
         pmax += B
-        rec_ids.append(ids)
-        rec_a.append(a.astype(a_rec))
         # an index is owned by the first chain to land on it; of chains that
         # land on a free one together any may own it, as they go on alike
         o = owner[a]
@@ -186,7 +183,7 @@ def _scan_crossings(S, d2):
             pmax = int(p.max())
             drop |= p > K  # no crossing before the horizon
         if drop.any():
-            into[ids[merged]] = o[merged]
+            into[ids[merged]], at[ids[merged]] = o[merged], a[merged]
             halt = drop & ~merged
             held_a[ids[halt]], held_p[ids[halt]] = a[halt], p[halt]
             keep = ~drop
@@ -214,33 +211,27 @@ def _scan_crossings(S, d2):
                 lim = np.full(M + 1, K + 1)
                 lim[2:-2] = a[3:]  # chain c starts at a[c - 1], pauses past a[c + 1]
                 into = np.zeros(M + 1, np.int16)
+                at = np.zeros(M + 1, np.int64)
                 held_a, held_p = np.zeros((2, M + 1), np.int64)
                 total, pmax = int(a.sum()), int(p[-1])
-                rec_ids.append(ids)
-                rec_a.append(a.astype(a_rec))
-    # the map, the windows and the hit buffer are done with before the splice
-    owner = hit_buf = hit = acc = r = None
+    # the windows and the hit buffer are done with before the stops are read
+    hit_buf = hit = acc = r = None
     views.clear()
-    # each chain's records in step order; a step without a stop repeats one
-    rid, ra = np.concatenate(rec_ids), np.concatenate(rec_a)
-    del rec_ids, rec_a
-    order = np.argsort(rid, kind="stable")
-    rid, ra = rid[order], ra[order]
-    del order  # 8 bytes a record; kept alive, it raised drift_multi's peak RSS 1.2 MiB
-    new = np.ones(rid.size, bool)
-    new[1:] = (rid[1:] != rid[:-1]) | (ra[1:] != ra[:-1])
-    rid, ra = rid[new], ra[new]
-    first = np.searchsorted(rid, np.arange(M + 2))
-    pieces, c, after = [], 1, 0
+    # each chain's owned indices from where the one before merged into it
+    # (1, for the first) to its own merge, _MAX_BLOCK at a time
+    stops = np.empty(hits, np.int64)
+    n, c, lo = 0, 1, 1
     while True:
-        mine = ra[first[c] : first[c + 1]]
-        pieces.append(mine[np.searchsorted(mine, after, side="right") :])
+        hi = at[c] if into[c] else K + 1
+        for b in range(lo, hi, _MAX_BLOCK):
+            mine = np.flatnonzero(owner[b : min(b + _MAX_BLOCK, hi)] == c)
+            mine += b
+            stops[n : n + mine.size] = mine
+            n += mine.size
         if not into[c]:
             break
-        after, c = mine[-1], into[c]
-    stops = np.concatenate(pieces, dtype=np.int64)
-    # every chain's first record is its start, not a stop it computed
-    return stops, rid.size - M - stops.size
+        lo, c = hi, into[c]
+    return stops[:n], hits - n
 
 
 def embed(path: PricePath, delta: float) -> Embedding:
@@ -250,11 +241,12 @@ def embed(path: PricePath, delta: float) -> Embedding:
     since i reaches norm delta, sum((S_j/S_i - 1)**2) >= delta * delta.
     The scan runs as chains in lockstep, one from the start of each
     segment of the path; a chain that lands on an index another chain
-    reached merges into it, and the stops are spliced from the first
-    chain's merges (see _scan_crossings).  They are those of one scan
-    from index 0, bit for bit.  Their returns are formed column by column,
-    _ROW_BLOCK stops at a time, in outcomes, and rescaled there.  A delta that is not positive and finite
-    raises ValueError, and so does a single grid step whose return norm
+    reached merges into it, and the stops are read along the first chain's
+    merges from the map of who reached each index (see _scan_crossings).
+    They are those of one scan from index 0, bit for bit.  Their returns
+    are formed column by column, _ROW_BLOCK stops at a time, in outcomes,
+    and rescaled there.  A delta that is not positive and finite raises
+    ValueError, and so does a single grid step whose return norm
     exceeds 2 delta: the sampling grid is then too coarse to localize the
     crossing.
     """
@@ -302,8 +294,13 @@ def _row_norms(x):
 
 def _grid(T, grid_step):
     """Number of grid steps over [0, T] and their common length.  A
-    degenerate grid is refused here, before anything is allocated."""
+    degenerate grid is refused here, before anything is allocated, and so
+    is one of 2^62 steps or more, where gen_fbm's 2K buffer is unindexable."""
     _require_positive(T=T, grid_step=grid_step)
+    if T / grid_step >= 2.0**62:
+        raise ValueError(
+            f"T / grid_step must be below 2^62, got T = {T!r} and grid_step = {grid_step!r}"
+        )
     K = int(math.ceil(T / grid_step))
     return K, T / K
 

@@ -9,6 +9,13 @@ penalty LD2 from the KL term; the argmax trades fit against the cost of
 estimating more proportions.  LD2 is taken along each d-game's own bets,
 so it is not nested the way the KL term is and need not grow with d;
 select_dimension warns when it falls.
+
+Each of the 2^d_max corners appears 2^(d_max - d) times in the d-item
+game's training, so the rounding floor of that game's Newton gradient
+grows with d_max.  From d_max = 12 on it can rise above the solver's
+tolerance, and the runs stall, so select_dimension takes at most
+_MAX_D = 11 columns.  Training on the distinct projected corners, each
+weighted by its count, is the route to lifting that limit.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from .sos import sos_run
 __all__ = ["NestedGameReport", "select_dimension"]
 
 _EPSILON0 = 0.1  # training margin of the nested games
+_MAX_D = 11  # the most columns whose nested runs converge (module docstring)
 
 
 @dataclass(frozen=True)
@@ -55,11 +63,18 @@ def select_dimension(paths) -> NestedGameReport:
 
     paths is an (N, d_max) array of per-item outcomes in [-1, 1]; items
     are nested in the given column order.  Ties break toward smaller d.
+    More than _MAX_D columns raise ValueError before any run.
     """
     paths = as_path(paths)
     N, d_max = paths.shape
     if N < 1:
         raise ValueError("empty outcome sequence")
+    if d_max > _MAX_D:
+        raise ValueError(
+            f"{d_max} items; the nested games stall beyond {_MAX_D}, where the "
+            "repeated training corners put the gradient's rounding floor above "
+            "the solver's tolerance"
+        )
     # shared training: corners of the full box, projected per prefix
     full = Domain.box(-np.ones(d_max), np.ones(d_max))
     signs = make_training(full, _EPSILON0, "corners_2tod").points

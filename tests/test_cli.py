@@ -338,13 +338,14 @@ def test_scenario_values_are_checked_before_any_work(tmp_path, monkeypatch, cfg,
 
 
 def test_d_max_beyond_the_corner_limit_refused_before_outdir(tmp_path, monkeypatch):
-    # the 2^d_max training corners stop at the limit that make_training keeps
+    # the nested runs stall from d_max = 12 on, well inside the limit of
+    # 2^d_max training corners that make_training keeps
     import gtpbet.cli as cli
     from gtpbet.domain import _MAX_CORNER_D, Domain, make_training
 
     monkeypatch.setattr(cli, "select_dimension", lambda *a, **k: pytest.fail("ran"))
-    for d_max in (_MAX_CORNER_D + 1, 25):
-        message = f"d_max must be between 1 and {_MAX_CORNER_D}, got {d_max}"
+    for d_max in (12, 13, _MAX_CORNER_D + 1, 25):
+        message = f"d_max must be between 1 and 11, got {d_max}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             run_scenario({"scenario": "model_select", "d_max": str(d_max)}, tmp_path / "out")
         assert not (tmp_path / "out").exists()

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import tracemalloc
 import warnings
@@ -226,6 +227,38 @@ def test_lockstep_scan_resumes_the_paused_chain_that_the_first_joins(monkeypatch
     assert stops[-1] > K - 2 * K // stops.size
     assert _definition_stops(values, delta, stops) == stops.tolist()
     assert discarded <= 3 * stops.size
+
+
+def _steps_every_50(delta):
+    log_step = np.zeros(20_000)
+    log_step[49:-1:50] = np.log1p(1.5 * delta) * np.where(np.arange(399) % 3, 1.0, -1.0)
+    return np.exp(np.concatenate([[0.0], np.cumsum(log_step)]))[:, None]
+
+
+def _exp_with_a_step(delta):
+    log_path = np.linspace(0.0, 1.0, 2**17 + 1)
+    log_path[2**16 :] += math.log1p(1.5 * delta)
+    return np.exp(log_path)[:, None]
+
+
+@pytest.mark.parametrize(
+    "make, delta, segment, kept, discarded",
+    [
+        (_steps_every_50, 0.01, 0.1, 399, 1001),
+        (lambda delta: gen_fbm(0.3, 0.16, 1.0, 2.0**-20, 2).values, 0.01, 16, 23_270, 8_848),
+        (_exp_with_a_step, 1e-3, 16, 993, 1_998),
+    ],
+    ids=["one-index-in-one-step", "successor-past-its-merge", "resumed-paused-chain"],
+)
+def test_lockstep_discard_count_is_every_landing_off_the_lineage(
+    monkeypatch, make, delta, segment, kept, discarded
+):
+    # the paths of the three tests above, with the discard counts of the
+    # scan that recorded every chain's anchor at every step: the landings
+    # off the lineage must number the same
+    _many_chains(monkeypatch, segment)
+    stops, got = continuous._scan_crossings(make(delta), delta * delta)
+    assert (stops.size, got) == (kept, discarded)
 
 
 def test_lockstep_scan_bounds_the_waste_on_a_smooth_path():
@@ -617,6 +650,32 @@ def test_generators_reject_degenerate_grids(T, grid_step, name):
         gen_gbm([0.1], [[0.3]], T, grid_step, 0)
 
 
+def _holder_run(T, grid_step, outdir):
+    from gtpbet.cli import run_scenario
+
+    cfg = {"scenario": "holder", "T": repr(T), "grid_step": repr(grid_step)}
+    run_scenario(cfg, outdir)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda T, grid_step, outdir: gen_fbm(0.3, 0.1, T, grid_step, 0),
+        lambda T, grid_step, outdir: gen_gbm([0.1], [[0.3]], T, grid_step, 0),
+        _holder_run,
+    ],
+    ids=["gen_fbm", "gen_gbm", "holder"],
+)
+def test_generators_refuse_a_grid_too_fine_to_index(tmp_path, make):
+    # 2^62 steps or more: the 2K fBm buffer would not be indexable, and
+    # these raised OverflowError or NumPy's "Maximum allowed dimension"
+    for T, grid_step in ((1.0, 5e-324), (1e300, 1e-10), (1.0, 1e-300), (2.0**62, 1.0)):
+        message = f"T / grid_step must be below 2^62, got T = {T!r} and grid_step = {grid_step!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make(T, grid_step, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
 def test_gen_fbm_peak_memory():
     # the transform buffer of 2K doubles, pocketfft's plan and its scratch
@@ -649,10 +708,10 @@ def test_girsanov_peak_memory():
 
 
 def test_scan_peak_memory():
-    # the int16 owner map of two bytes a grid point, then chain ids of two
-    # bytes and anchors of four per step and chain, spliced after the map is
-    # freed: 13 bytes a stop above the map measured here, against 57 when
-    # the records were int64 and the map stayed alive through the splice
+    # the int16 owner map of two bytes a grid point, then the stops read
+    # from it into 8 bytes a landing: 9.6 bytes a stop above the map
+    # measured here, against 13 when every step recorded each chain's id
+    # and anchor and the records were sorted and spliced
     path = gen_gbm([0.1, 0.1], 0.3 * np.eye(2), 10.0, (0.01 / 1.5) ** 2, 1)
     assert path.values.shape[0] == 225_001
     tracemalloc.start()
@@ -662,7 +721,7 @@ def test_scan_peak_memory():
     finally:
         tracemalloc.stop()
     assert stops.size > 14_000
-    assert peak <= 2 * path.values.shape[0] + 32 * stops.size
+    assert peak <= 2 * path.values.shape[0] + 12 * stops.size
 
 
 def test_gen_fbm_rejects_bad_hurst():

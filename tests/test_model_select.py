@@ -67,6 +67,16 @@ def test_length_mismatch_rejected():
         select_dimension(np.zeros((0, 2)))
 
 
+def test_more_items_than_the_nested_games_converge_on_refused(monkeypatch):
+    # at 12 items each of the 4,096 corners appears up to 2^11 times in a
+    # game's training, and the Newton gradient's rounding floor stalls it
+    from gtpbet import model_select
+
+    monkeypatch.setattr(model_select, "sos_run", lambda *a, **k: pytest.fail("ran"))
+    with pytest.raises(ValueError, match="^12 items; the nested games stall beyond 11, "):
+        select_dimension(np.zeros((5, 12)))
+
+
 def test_solver_converges_past_the_rounding_floor():
     # the model_select scenario's inputs at seed 28: a line search that
     # compares phi values (Armijo) stalled here at |grad| ~ 1e-9 near round
