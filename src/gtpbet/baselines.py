@@ -92,11 +92,24 @@ def universal_portfolio_curves(M: int, path) -> tuple[np.ndarray, np.ndarray]:
     return plain, trained
 
 
-def kelly_gbm_rate(mu, sigma):
-    """Optimal exponential growth rate 0.5 mu' (sigma sigma')^{-1} mu."""
+def _gbm_params(mu, sigma):
+    """mu as a vector and sigma as a matrix of floats: the one check of
+    the parameters of geometric Brownian motion.  A NaN or infinite entry
+    raises ValueError naming mu or sigma, and a singular sigma raises
+    LinAlgError."""
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
-    cov = sigma @ sigma.T
-    if abs(np.linalg.det(cov)) < 1e-300:
-        raise np.linalg.LinAlgError("sigma sigma' is singular")
-    return 0.5 * float(mu @ np.linalg.solve(cov, mu))
+    for name, value in (("mu", mu), ("sigma", sigma)):
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} must be finite, got {value.tolist()}")
+    if abs(np.linalg.det(sigma)) == 0.0:
+        raise np.linalg.LinAlgError("volatility matrix is singular")
+    return mu, sigma
+
+
+def kelly_gbm_rate(mu, sigma):
+    """Optimal exponential growth rate 0.5 mu' (sigma sigma')^{-1} mu.
+
+    mu and sigma are checked by _gbm_params, as gen_gbm checks them."""
+    mu, sigma = _gbm_params(mu, sigma)
+    return 0.5 * float(mu @ np.linalg.solve(sigma @ sigma.T, mu))

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import universal_portfolio_curves
-from .continuous import _grid, gen_gbm, girsanov_rate_experiment, gen_fbm, holder_experiment
+from .continuous import gen_fbm, girsanov_rate_experiment, holder_experiment
 from .domain import Domain, GameConfig, make_training, write_csv
 from .model_select import _MAX_D, select_dimension
 from .sos import sos_run
@@ -224,7 +224,7 @@ def run_scenario(cfg: dict, outdir: Path) -> dict:
     unread = sorted(set(cfg) - {"scenario", "seed", *keys})
     if unread:
         raise ValueError(f"scenario {scenario} reads no key {', '.join(unread)}")
-    params = {}  # every key parsed and checked before outdir is made
+    params = {}  # every key parsed and checked before any work
     for key, (parse, default, check) in keys.items():
         if key not in cfg and default is None:
             raise ValueError(f"scenario {scenario} needs key {key}")
@@ -234,16 +234,16 @@ def run_scenario(cfg: dict, outdir: Path) -> dict:
                 if not test(v):
                     raise ValueError(f"{key} must be {condition}, got {v!r}")
         params[key] = value
-    if "grid_step" in params:  # a degenerate or unindexable grid, before outdir
-        _grid(params["T"], params["grid_step"])
     if "GTPBET_SEED" in os.environ:
         seed = _int("GTPBET_SEED", os.environ["GTPBET_SEED"])
     else:
         seed = _int("seed", cfg.get("seed", 0))
     if seed < 0:  # NumPy's generators take none, so no scenario does
         raise ValueError(f"seed must be at least 0, got {seed}")
-    outdir.mkdir(parents=True, exist_ok=True)
+    # a runner does all its work before its first write, and write_csv
+    # makes outdir, so a run that fails leaves none
     summary = runner(params, seed, outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
     with open(outdir / "summary.json", "w") as fh:
         fh.write(_summary_json(summary) + "\n")
     return summary

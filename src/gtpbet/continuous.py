@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .baselines import _gbm_params, kelly_gbm_rate
 from .domain import (
     _ROW_BLOCK, Domain, GameConfig, InvariantError, _require_positive, as_prices, make_training,
 )
@@ -305,20 +306,6 @@ def _grid(T, grid_step):
     return K, T / K
 
 
-def _gbm_params(mu, sigma):
-    """mu as a vector and sigma as a matrix of floats; a NaN or infinite
-    entry raises ValueError naming mu or sigma, and a singular sigma
-    raises LinAlgError."""
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
-    for name, value in (("mu", mu), ("sigma", sigma)):
-        if not np.isfinite(value).all():
-            raise ValueError(f"{name} must be finite, got {value.tolist()}")
-    if abs(np.linalg.det(sigma)) == 0.0:
-        raise np.linalg.LinAlgError("volatility matrix is singular")
-    return mu, sigma
-
-
 def gen_gbm(mu, sigma, T, grid_step, seed) -> PricePath:
     """Exact log-Euler geometric Brownian motion from 1, bit-reproducible by seed.
 
@@ -502,9 +489,9 @@ def girsanov_rate_experiment(mu, sigma, T, delta, seed):
     analytic target 0.5 mu' (sigma sigma')^{-1} mu.  The grid step bounds
     both moves of one step: it is (delta / (5 max_i |sigma_i|))^2 for the
     noise and, unless mu = 0, at most delta / (5 max_i |mu_i|) for the
-    drift, so a one-step return is about a fifth of delta."""
-    from .baselines import kelly_gbm_rate
-
+    drift, so a one-step return is about a fifth of delta.  A delta that
+    makes 2^62 grid steps or more over T is refused by name, before the
+    path is allocated."""
     _require_positive(delta=delta)
     mu, sigma = _gbm_params(mu, sigma)
     smax = float(np.max(np.linalg.norm(sigma, axis=1)))
@@ -512,6 +499,12 @@ def girsanov_rate_experiment(mu, sigma, T, delta, seed):
     mmax = float(np.max(np.abs(mu)))
     if mmax > 0.0:
         step = min(step, delta / (5.0 * mmax))
+    _require_positive(T=T)
+    if step == 0.0 or T / step >= 2.0**62:  # _grid's test, which would name the step
+        raise ValueError(
+            "delta must give fewer than 2^62 grid steps over T, "
+            f"got delta = {delta!r} and T = {T!r}"
+        )
     path = gen_gbm(mu, sigma, T, step, seed)
     emb = embed(path, delta)
     logK, _ = _run_embedded_sos(emb)

@@ -289,9 +289,11 @@ def write_csv(path, columns) -> None:
     """Write columns, a dict from name to 1-D array of one length, as CSV:
     a header row, then one row per index, LF line endings.  Integer and
     bool columns are written as integers, str columns as they are and all
-    others to 17 significant digits, which read back exactly."""
+    others to 17 significant digits, which read back exactly.  The file's
+    directory is made if it is missing, so it appears with its first file."""
     cols = [np.asarray(c) for c in columns.values()]
     row = ",".join(_CSV_FORMATS.get(c.dtype.kind, "%.17g") for c in cols) + "\n"
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(columns) + "\n")
         for lo in range(0, cols[0].size, _CSV_ROWS):

@@ -86,9 +86,8 @@ def solve_phi(problem: PhiProblem) -> PhiSolution:
     """
     X = problem.outcomes
     origin = np.zeros(problem.d)
-    alpha, phi, _, hess, its = _newton_rows(
-        X, _outer_rows(X), np.array([problem.m]), origin, origin, _GRAD_TOL, _MAX_ITER
-    )
+    ends = np.array([problem.m])
+    alpha, phi, _, hess, its = _newton_rows(X, _outer_rows(X), ends, origin, origin)
     return PhiSolution(
         alpha_star=alpha[0],
         phi_value=float(phi[0]),
@@ -104,15 +103,6 @@ def _outer_rows(X) -> np.ndarray:
     return (X[:, :, None] * X[:, None, :]).reshape(m, d * d)
 
 
-def _mask_beyond(M, ends, fill):
-    """Sets M[b, j] = fill for every column j >= ends[b], in place; only
-    the columns from min(ends) on are touched."""
-    lo = int(ends.min())
-    tail = M[:, lo:]
-    tail[np.arange(lo, M.shape[1]) >= ends[:, None]] = fill
-    return M
-
-
 # The largest Newton decrement at which solve_phi takes the full step.  For
 # lam < 1 the full step moves each residual by at most lam of itself and
 # gains at least lam**2 - w(lam) in phi, w(lam) = -lam - log(1 - lam); at
@@ -122,7 +112,7 @@ def _mask_beyond(M, ends, fill):
 _FULL_STEP = 0.68
 
 
-def _newton_rows(X, P, ends, start, fallback, tol, max_iter):
+def _newton_rows(X, P, ends, start, fallback):
     """solve_phi's damped Newton, run on B histories at once.
 
     Row b maximises phi over X[:ends[b]]; P is _outer_rows(X).  start
@@ -132,11 +122,11 @@ def _newton_rows(X, P, ends, start, fallback, tol, max_iter):
     starts from fallback, one point (d,) feasible for every row: the
     origin for solve_phi, the previous block's last optimum for the exact
     run.  Every row follows solve_phi's step rule on its own, and takes no
-    further step once its gradient norm is at most tol.  The products are
-    taken over the whole block, so a row's arithmetic does not depend on
-    the other rows.  Raises SolverError for the first row that fails.
-    Returns alpha (B, d), phi (B,), gradient norms (B,), Hessians
-    (B, d, d) and iteration counts (B,).
+    further step once its gradient norm is at most _GRAD_TOL.  The products
+    are taken over the whole block, so a row's arithmetic does not depend
+    on the other rows.  Raises SolverError for the first row still above
+    _GRAD_TOL after _MAX_ITER iterations.  Returns alpha (B, d), phi (B,),
+    gradient norms (B,), Hessians (B, d, d) and iteration counts (B,).
 
     The call allocates two (B, m) arrays once, for m = len(X): the
     residuals R = 1 + alpha.x, formed afresh from alpha after every
@@ -150,7 +140,7 @@ def _newton_rows(X, P, ends, start, fallback, tol, max_iter):
     alpha = np.array(np.broadcast_to(start, (B, d)), dtype=float)
     R, W = np.empty((B, m)), np.empty((B, m))
     its = np.zeros(B, dtype=int)
-    for it in range(max_iter + 1):
+    for it in range(_MAX_ITER + 1):
         np.matmul(alpha, X.T, out=R)
         R += 1.0
         R[:, lo:][beyond] = 1.0
@@ -164,13 +154,13 @@ def _newton_rows(X, P, ends, start, fallback, tol, max_iter):
         W[:, lo:][beyond] = 0.0
         grad = W @ X
         gnorm = np.linalg.norm(grad, axis=1)
-        active = ~(gnorm <= tol)  # a NaN row runs on to the iteration cap
+        active = ~(gnorm <= _GRAD_TOL)  # a NaN row runs on to the iteration cap
         if not np.any(active):
             break
-        if it == max_iter:
+        if it == _MAX_ITER:
             i = int(np.argmax(active))
             raise SolverError(
-                f"no convergence in {max_iter} iterations (|grad| = {gnorm[i]:.3e})",
+                f"no convergence in {_MAX_ITER} iterations (|grad| = {gnorm[i]:.3e})",
                 alpha[i],
                 gnorm[i],
                 i,

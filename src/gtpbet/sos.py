@@ -18,21 +18,13 @@ from .domain import (
     _ROW_BLOCK,
     CapitalLedger,
     CollateralError,
+    Domain,
     GameConfig,
     InvariantError,
     as_path,
     running_moments,
 )
-from .optimizer import (
-    _GRAD_TOL,
-    _MAX_ITER,
-    PhiProblem,
-    SolverError,
-    _mask_beyond,
-    _newton_rows,
-    _outer_rows,
-    solve_phi,
-)
+from .optimizer import PhiProblem, SolverError, _newton_rows, _outer_rows, solve_phi
 
 __all__ = [
     "SosResult",
@@ -113,11 +105,11 @@ def sos_run(
     result's iterations hold each round's Newton iteration count.
 
     Every check_every rounds the exact-relation identity alpha* = V*^{-1} s
-    (with V* the reweighted second-moment matrix) and the determinant
-    bookkeeping are verified from scratch; violations raise
-    InvariantError.  A solver failure raises SolverError naming the
-    round.  An empty path, a non-finite outcome or one outside the domain
-    raises ValueError naming the round.
+    (with V* the reweighted second-moment matrix, its weights formed over
+    that round's own history) and the determinant bookkeeping are verified
+    from scratch; violations raise InvariantError.  A solver failure raises
+    SolverError naming the round.  An empty path, a non-finite outcome or
+    one outside the domain raises ValueError naming the round.
     """
     path = as_path(path, config.domain.d)
     N, d = path.shape
@@ -154,7 +146,7 @@ def sos_run(
         start = alpha + np.linalg.solve(H.reshape(-1, d, d), grad[:, :, None])[:, :, 0]
         ends = np.arange(lo + 1, hi + 1)
         try:
-            blocks.append(_newton_rows(X[:hi], P[:hi], ends, start, alpha, _GRAD_TOL, _MAX_ITER))
+            blocks.append(_newton_rows(X[:hi], P[:hi], ends, start, alpha))
         except SolverError as exc:
             n = ends[exc.row] - n0
             msg = f"solver failed at round {n}: {exc}"
@@ -192,20 +184,16 @@ def sos_run(
     a_seq = np.einsum("ni,ni->n", path, np.linalg.solve(V[:-1], path[:, :, None])[:, :, 0])
     logdet = logdet_0 + np.cumsum(np.log1p(a_seq))
 
-    # independent check of the exact relation alpha* = V*^{-1} s, with the
-    # residuals recomputed from the history, and of the determinants
+    # independent check of the exact relation alpha* = V*^{-1} s, with each
+    # checked round's residuals recomputed over its own history, and of the
+    # determinants
     checked = np.arange(check_every, N + 1, check_every)
-    for c in range(0, checked.size, _BLOCK):
-        n = checked[c : c + _BLOCK]
-        a = alphas[n - 1]
-        m = n0 + n[-1]
-        W = 1.0 / _mask_beyond(1.0 + a @ X[:m].T, n0 + n, np.inf)
-        Vstar = (W @ P[:m]).reshape(-1, d, d)
-        resid = np.linalg.norm(a - np.linalg.solve(Vstar, s[n][:, :, None])[:, :, 0], axis=1)
-        bad = np.flatnonzero(~(resid <= check_tol_28b))
-        if bad.size:
-            i = bad[0]
-            raise InvariantError(f"exact-relation residual {resid[i]:.3e} at round {n[i]}")
+    for n in checked:
+        a, m = alphas[n - 1], n0 + n
+        Vstar = ((1.0 / (1.0 + X[:m] @ a)) @ P[:m]).reshape(d, d)
+        resid = np.linalg.norm(a - np.linalg.solve(Vstar, s[n]))
+        if not resid <= check_tol_28b:
+            raise InvariantError(f"exact-relation residual {resid:.3e} at round {n}")
     sign, ld = np.linalg.slogdet(V[checked])
     drift = np.abs(ld - logdet[checked - 1])
     bad = np.flatnonzero(~((sign > 0.0) & (drift <= 1e-8 * np.maximum(1.0, np.abs(ld)))))
@@ -288,22 +276,20 @@ def deficiency_constants(config: GameConfig):
     """(C1, C2, C3) from the domain and training set.
 
     C1 is the larger of the maximum one-round growth factor over prudent
-    strategies and the maximum of 1 + alpha.x_n over training points and
-    alpha in the training polytope.  C2 = C1^2 / epsilon0^2 and
-    C3 = C2 (d tr V_{0,0} - log |V_{0,0}|).
+    strategies, Domain.max_growth_constant, and the maximum of 1 + alpha.x_n
+    over training points and alpha in the training polytope.
+    C2 = C1^2 / epsilon0^2 and C3 = C2 (d tr V_{0,0} - log |V_{0,0}|).
 
-    The training maximum has a closed form for the two shapes that
-    make_training builds, recognised from the points: points on the
-    coordinate axes (at most one nonzero component each), and the sign
-    corners of their bounding box [lo, hi], all 2^d of them, repeats
-    allowed.  Either needs lo < 0 < hi; a training set of any other shape
-    raises ValueError.
+    The training maximum is the growth constant of the box [lo, hi] that
+    the points span, for the two shapes that make_training builds,
+    recognised from the points: points on the coordinate axes (at most one
+    nonzero component each), and the sign corners of [lo, hi], all 2^d of
+    them, repeats allowed.  Either needs lo < 0 < hi; a training set of any
+    other shape raises ValueError.
     """
     train = config.training.points
     d = config.domain.d
-    c10 = config.domain.max_growth_constant()
-    c1_train = 1.0 + _max_inner_over_polytope(train)
-    c1 = max(c10, c1_train)
+    c1 = max(config.domain.max_growth_constant(), _training_growth_constant(train))
     eps = config.training.epsilon0
     c2 = c1 * c1 / (eps * eps)
     V00 = train.T @ train
@@ -312,15 +298,17 @@ def deficiency_constants(config: GameConfig):
     return c1, c2, c3
 
 
-def _max_inner_over_polytope(train):
-    """max over training points x_n of max_{alpha in P} alpha . x_n,
+def _training_growth_constant(train):
+    """max over training points x_n of max_{alpha in P} 1 + alpha . x_n,
     where P = {alpha : 1 + alpha . x_i >= 0 for all training i}.
 
-    With lo and hi the points' componentwise extremes, both closed forms
-    are max_j max(hi_j / |lo_j|, |lo_j| / hi_j), exactly 1 for +-c e_i.
-    Points on the axes make P the box -1/hi_j <= alpha_j <= 1/|lo_j|, and
-    each point reads one coordinate of it.  Every corner of [lo, hi] makes
-    P {sum_j max(alpha_j |lo_j|, -alpha_j hi_j) <= 1}, and a corner's best
+    With lo and hi the points' componentwise extremes, both shapes give
+    max_j max(hi_j / |lo_j|, |lo_j| / hi_j) for the inner product, so the
+    maximum is the max_growth_constant of the box [lo, hi], exactly 2 for
+    +-c e_i.  Points on the axes make P the box
+    -1/hi_j <= alpha_j <= 1/|lo_j|, and each point reads one coordinate of
+    it.  Every corner of [lo, hi] makes P
+    {sum_j max(alpha_j |lo_j|, -alpha_j hi_j) <= 1}, and a corner's best
     alpha spends that budget on the coordinate with the best gain per unit.
     """
     n0, d = train.shape
@@ -332,7 +320,7 @@ def _max_inner_over_polytope(train):
             codes = (train == hi) @ (1 << np.arange(d))
             corners = np.unique(codes).size == 2**d
         if on_axes or corners:
-            return float(np.max(np.maximum(hi / -lo, -lo / hi)))
+            return Domain.box(lo, hi).max_growth_constant()
     raise ValueError(
         "training set must be points on the coordinate axes or the 2^d "
         "sign corners of a box [lo, hi], with lo < 0 < hi"

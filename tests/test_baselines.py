@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -161,3 +162,14 @@ def test_kelly_rate_values():
     )
     with pytest.raises(np.linalg.LinAlgError):
         kelly_gbm_rate([0.1, 0.1], np.ones((2, 2)))
+
+
+@pytest.mark.parametrize(
+    "mu, sigma, name", [([math.nan], [[0.3]], "mu"), ([0.1], [[math.inf]], "sigma")]
+)
+def test_kelly_rate_refuses_non_finite_parameters(mu, sigma, name):
+    # gen_gbm's check and message; the rate used to be nan for a NaN mu and
+    # 0.0 for an infinite sigma
+    bad = mu if name == "mu" else sigma
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {re.escape(str(bad))}$"):
+        kelly_gbm_rate(mu, sigma)

@@ -270,6 +270,30 @@ def test_girsanov_refuses_a_zero_volatility(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "cfg, error, message",
+    [
+        ({"scenario": "girsanov", "delta": "1e-10"}, ValueError,
+         "delta must give fewer than 2^62 grid steps over T, got delta = 1e-10 and T = 50.0"),
+        ({"scenario": "holder", "grid_step": "0.01", "delta": "0.005"}, ValueError,
+         "grid too coarse: single-step return"),
+        ({"scenario": "sos_csv", "input": "bad.csv"}, ValueError,
+         "line 3: non-numeric cell 'abc' in column 2"),
+        ({"scenario": "sos_csv", "input": "missing.csv"}, FileNotFoundError, "[Errno 2]"),
+    ],
+    ids=["girsanov-delta", "holder-coarse", "sos_csv-cell", "sos_csv-missing"],
+)
+def test_a_run_that_fails_in_its_runner_leaves_no_outdir(tmp_path, cfg, error, message):
+    # the directory appears with the first output, and every runner does all
+    # its work before that
+    (tmp_path / "bad.csv").write_text("day,A\n0,100\n1,abc\n")
+    if "input" in cfg:
+        cfg = cfg | {"input": str(tmp_path / cfg["input"])}
+    with pytest.raises(error, match=f"^{re.escape(message)}"):
+        run_scenario(cfg, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
     "cfg, key",
     [
         ({"scenario": "imaginary", "N": "20.5"}, "N"),

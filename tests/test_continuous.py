@@ -403,6 +403,24 @@ def test_girsanov_refuses_degenerate_delta(delta):
         girsanov_rate_experiment([0.1], [[0.3]], 1.0, delta, 7)
 
 
+@pytest.mark.parametrize("T, delta", [(50.0, 1e-10), (1.0, 1e-200), (2.0**62, 1.5)])
+def test_girsanov_refuses_a_delta_too_fine_for_its_grid(monkeypatch, T, delta):
+    # 2^62 grid steps or more, refused by delta and T before the path is
+    # made; gen_gbm's own check would name a grid step the caller never set.
+    # At 1e-200 the grid step underflows to 0
+    monkeypatch.setattr(continuous, "gen_gbm", lambda *a, **k: pytest.fail("path made"))
+    message = f"delta must give fewer than 2^62 grid steps over T, got delta = {delta!r} and T = {T!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        girsanov_rate_experiment([0.1], [[0.3]], T, delta, 7)
+
+
+@pytest.mark.parametrize("T", [math.inf, math.nan, 0.0, -1.0])
+def test_girsanov_names_a_degenerate_horizon_before_its_grid(monkeypatch, T):
+    monkeypatch.setattr(continuous, "gen_gbm", lambda *a, **k: pytest.fail("path made"))
+    with pytest.raises(ValueError, match=f"^T must be positive and finite, got {T!r}$"):
+        girsanov_rate_experiment([0.1], [[0.3]], T, 1e-10, 7)
+
+
 @pytest.mark.parametrize(
     "mu, sigma, name",
     [

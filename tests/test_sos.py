@@ -25,8 +25,8 @@ from gtpbet import (
     sos_run,
 )
 from gtpbet.domain import LEDGER_COLUMNS, running_moments
-from gtpbet.optimizer import _mask_beyond, _newton_rows, _outer_rows
-from gtpbet.sos import _BLOCK, _max_inner_over_polytope
+from gtpbet.optimizer import _newton_rows, _outer_rows
+from gtpbet.sos import _BLOCK, _training_growth_constant
 from conftest import corner_game, unit_box_game
 
 
@@ -166,11 +166,11 @@ def test_closed_form_polytope_maximum_matches_lp():
     want = [_polytope_lp(t) for t in sets]
     for train, lp in zip(sets, want):
         for order in range(3):
-            got = _max_inner_over_polytope(rng.permutation(train) if order else train)
-            assert abs(got - lp) <= 1e-12 * lp, (train, got, lp)
+            got = _training_growth_constant(rng.permutation(train) if order else train)
+            assert abs(got - 1.0 - lp) <= 1e-12 * lp, (train, got, lp)
     for d in range(1, 5):
         axis = make_training(Domain.sphere(d, 0.3), 0.4).points
-        assert _max_inner_over_polytope(axis) == 1.0
+        assert _training_growth_constant(axis) == 2.0
         game = corner_game(d)
         assert deficiency_constants(game)[0] == 2.0
 
@@ -530,9 +530,7 @@ def test_newton_rows_per_row_starts_and_fallback():
     # the first row's optimum lies inside the training polytope, so it is
     # feasible for every row's history
     fallback = own[0].alpha_star
-    alpha, phi, gnorm, hess, its = _newton_rows(
-        X, _outer_rows(X), ends, start, fallback, 1e-10, 200
-    )
+    alpha, phi, gnorm, hess, its = _newton_rows(X, _outer_rows(X), ends, start, fallback)
     for b, sol in enumerate(own):
         np.testing.assert_allclose(alpha[b], sol.alpha_star, rtol=0.0, atol=1e-9)
         assert abs(phi[b] - sol.phi_value) <= 1e-9 * max(1.0, abs(sol.phi_value))
@@ -541,6 +539,12 @@ def test_newton_rows_per_row_starts_and_fallback():
     # a row started at its own optimum takes no step
     assert np.all(its[[0, 2, 3, 6, 8]] == 0)
     assert np.all(its[[1, 4, 5, 7]] > 0)
+
+
+def _mask_beyond(M, ends, fill):
+    """Sets M[b, j] = fill for every column j >= ends[b], in place."""
+    M[np.arange(M.shape[1]) >= ends[:, None]] = fill
+    return M
 
 
 def reference_newton_rows(X, P, ends, start, fallback, tol, max_iter):
@@ -591,14 +595,14 @@ def reference_newton_rows(X, P, ends, start, fallback, tol, max_iter):
     return (alpha, phi, gnorm, hess, its), damped
 
 
-def newton_rows_both(X, ends, start, fallback, tol=1e-10, max_iter=200):
+def newton_rows_both(X, ends, start, fallback):
     """_newton_rows and its per-row reference on one block: asserts that
     alpha, phi, the gradient norms, the Hessians and the iteration counts
     are equal bit for bit, and returns the reference's counts of damped
     steps and iteration counts."""
     P = _outer_rows(X)
-    want, damped = reference_newton_rows(X, P, ends, start, fallback, tol, max_iter)
-    got = _newton_rows(X, P, ends, start, fallback, tol, max_iter)
+    want, damped = reference_newton_rows(X, P, ends, start, fallback, 1e-10, 200)
+    got = _newton_rows(X, P, ends, start, fallback)
     for name, w, g in zip(("alpha", "phi", "gnorm", "hess", "its"), want, got):
         assert np.array_equal(w, g), name
     return damped, want[4]
@@ -674,13 +678,14 @@ def test_newton_rows_mixed_starts_match_per_row_reference(d):
 
 
 @pytest.mark.parametrize("max_iter", [1, 2])
-def test_newton_rows_iteration_cap_matches_per_row_reference(max_iter):
+def test_newton_rows_iteration_cap_matches_per_row_reference(monkeypatch, max_iter):
     X, ends, start, fallback = mixed_start_block(2)
     P = _outer_rows(X)
     with pytest.raises(SolverError) as want:
         reference_newton_rows(X, P, ends, start, fallback, 1e-10, max_iter)
+    monkeypatch.setattr(gtpbet.optimizer, "_MAX_ITER", max_iter)
     with pytest.raises(SolverError) as got:
-        _newton_rows(X, P, ends, start, fallback, 1e-10, max_iter)
+        _newton_rows(X, P, ends, start, fallback)
     assert want.value.row == got.value.row > 0
     assert str(got.value) == str(want.value)
     assert np.array_equal(got.value.alpha, want.value.alpha)
@@ -697,7 +702,7 @@ def test_newton_rows_working_memory():
     start = starts_toward_the_edge(X, ends, rng, 0.0, 0.5)
     tracemalloc.start()
     try:
-        _newton_rows(X, P, ends, start, np.zeros(2), 1e-10, 200)
+        _newton_rows(X, P, ends, start, np.zeros(2))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -729,8 +734,9 @@ def test_infeasible_start_restarts_from_the_previous_optimum():
 def test_solver_failure_keeps_its_type_and_names_the_round(monkeypatch):
     # no gradient norm reaches 1e-300 but one that rounds to exactly 0, which
     # at d = 1 happens often enough that some rounds converge; at d = 3 both
-    # rounds here fail.  The training-only solve keeps its own tolerance
-    monkeypatch.setattr(gtpbet.sos, "_GRAD_TOL", 1e-300)
+    # rounds here fail.  The training-only solve still converges: its
+    # gradient at the origin, over the symmetric corners, is exactly 0
+    monkeypatch.setattr(gtpbet.optimizer, "_GRAD_TOL", 1e-300)
     path = np.array([[0.3, 0.1, -0.2], [0.1, -0.4, 0.6]])
     with pytest.raises(SolverError, match="solver failed at round [12]: no convergence") as info:
         sos_run(corner_game(3), path)
