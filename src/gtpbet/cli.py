@@ -28,7 +28,7 @@ import numpy as np
 
 from .baselines import universal_portfolio_curves
 from .continuous import gen_fbm, girsanov_rate_experiment, holder_experiment
-from .domain import Domain, GameConfig, make_training, write_csv
+from .domain import _EPSILON0, Domain, GameConfig, make_training, write_csv
 from .model_select import _MAX_D, select_dimension
 from .sos import sos_run
 from .transform import read_price_csv, transform_returns
@@ -85,7 +85,7 @@ def _imaginary_path(n_rounds: int) -> np.ndarray:
 
 def _unit_corner_game() -> GameConfig:
     dom = Domain.box([-1.0], [1.0])
-    return GameConfig(domain=dom, training=make_training(dom, 0.1, "corners_2tod"))
+    return GameConfig(domain=dom, training=make_training(dom, scheme="corners_2tod"))
 
 
 def _imaginary(p, seed, outdir):
@@ -183,7 +183,7 @@ SCENARIOS = {
     "sos_csv": (_sos_csv, {"input": (_text, None, None), "c": (_float, 0.17, _UNIT)}),
     "sos_synthetic": (_sos_synthetic, {
         "d": (_int, 1, _AT_LEAST_1), "N": (_int, 1000, _AT_LEAST_1),
-        "halfwidth": (_float, 0.5, _POSITIVE), "epsilon0": (_float, 0.1, _UNIT)}),
+        "halfwidth": (_float, 0.5, _POSITIVE), "epsilon0": (_float, _EPSILON0, None)}),
     "universal_compare": (_universal_compare, {
         "N": (_int, 500, _AT_LEAST_1), "M": (_int, 100, _AT_LEAST_2)}),
     "holder": (_holder, {

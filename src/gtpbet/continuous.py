@@ -11,6 +11,7 @@ jaggedness (Holder roughness) of the path.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,10 +49,6 @@ class PricePath:
         object.__setattr__(self, "T", float(self.T))
         if v.shape[0] < 2:
             raise ValueError(f"{v.shape[0]} price rows; a grid of [0, T] has at least 2")
-
-    @property
-    def d(self) -> int:
-        return self.values.shape[1]
 
 
 @dataclass(frozen=True)
@@ -293,16 +290,17 @@ def _row_norms(x):
     return np.sqrt(out, out=out)
 
 
-def _grid(T, grid_step):
-    """Number of grid steps over [0, T] and their common length.  A
-    degenerate grid is refused here, before anything is allocated, and so
-    is one of 2^62 steps or more, where gen_fbm's 2K buffer is unindexable."""
+def _grid(T, grid_step, step_bytes):
+    """Number of grid steps over [0, T] and their common length.  Refused
+    before any allocation: a degenerate grid, one of 2^62 steps or more, and
+    one whose arrays, step_bytes a grid point, pass NumPy's sys.maxsize bytes."""
     _require_positive(T=T, grid_step=grid_step)
+    got = f"got T = {T!r} and grid_step = {grid_step!r}"
     if T / grid_step >= 2.0**62:
-        raise ValueError(
-            f"T / grid_step must be below 2^62, got T = {T!r} and grid_step = {grid_step!r}"
-        )
+        raise ValueError(f"T / grid_step must be below 2^62, {got}")
     K = int(math.ceil(T / grid_step))
+    if (K + 1) * step_bytes > sys.maxsize:
+        raise ValueError(f"T / grid_step must give arrays NumPy can allocate, {got}")
     return K, T / K
 
 
@@ -315,7 +313,7 @@ def gen_gbm(mu, sigma, T, grid_step, seed) -> PricePath:
     onto the row before the block: term by term one whole-path cumsum."""
     mu, sigma = _gbm_params(mu, sigma)
     d = mu.size
-    K, h = _grid(T, grid_step)
+    K, h = _grid(T, grid_step, 8 * d)  # the (K + 1, d) path
     rng = np.random.default_rng(seed)
     drift = (mu - 0.5 * np.diag(sigma @ sigma.T)) * h
     sigma_t = np.ascontiguousarray(sigma.T)  # matmul is slower on the transposed view
@@ -413,15 +411,15 @@ def gen_fbm(hurst, scale, T, grid_step, seed, dtype=np.float64) -> PricePath:
     """Exponential of fractional Brownian motion from 1, one column, with
     exact increment covariance by circulant (Davies-Harte) embedding.  The
     noise is synthesized in one buffer of 2K values of dtype, then summed
-    in place into the float64 path.  The synthesis peaks at about three
-    such buffers (the buffer, pocketfft's plan, which SciPy keeps cached,
-    and its scratch); dtype=float32 halves that, but not the K + 1 float64
-    path.  The path is returned with T alone; its grid is not stored."""
+    in place into the float64 path, returned with T alone.  Synthesis peaks
+    at about three such buffers (the buffer, pocketfft's cached plan and its
+    scratch); float32 halves that, not the path.  A grid whose buffer or
+    path NumPy cannot allocate is refused first, by T and grid_step."""
     if not 0.0 < hurst < 1.0:
         raise ValueError("hurst must lie in (0, 1)")
     if not math.isfinite(scale):
         raise ValueError(f"scale must be finite, got {scale!r}")
-    K, h = _grid(T, grid_step)
+    K, h = _grid(T, grid_step, 2 * max(np.dtype(dtype).itemsize, 4))  # buffer, float64 path
     path = np.empty(K + 1)
     path[0] = 0.0
     path[1:] = _fgn_davies_harte(K, hurst, np.random.default_rng(seed), np.dtype(dtype))
@@ -432,17 +430,16 @@ def gen_fbm(hurst, scale, T, grid_step, seed, dtype=np.float64) -> PricePath:
     return PricePath(path, T)
 
 
-_EPSILON0 = 0.1  # interiority margin of the embedded games' training
-
-
 def _run_embedded_sos(emb: Embedding):
     """Fast sequential strategy over an embedding.  Returns the final log
     capital, the residual period from the last stop to the horizon
     included, and the unclipped bet V^{-1} s that sos_capital_fast forms
-    after the last stop, which that period plays clipped.  With no stop,
-    s is the sum of the +-c axis training points, exactly zero, so both
-    are zero."""
+    after the last stop, which that period plays clipped.  With no stop
+    both are zero, as s, the sum of the +-c axis training points, is; they
+    skip the rule, whose V overflows to inf for a delta near 1e200."""
     d = emb.outcomes.shape[1]
+    if emb.N == 0:
+        return 0.0, np.zeros(d)
     training = game_config_for_embedding(emb.delta, d).training.points
     bound = 1.0 / training.max()
     gains, alpha = sos_capital_fast(emb.outcomes, training, bound)
@@ -490,21 +487,18 @@ def girsanov_rate_experiment(mu, sigma, T, delta, seed):
     both moves of one step: it is (delta / (5 max_i |sigma_i|))^2 for the
     noise and, unless mu = 0, at most delta / (5 max_i |mu_i|) for the
     drift, so a one-step return is about a fifth of delta.  A delta that
-    makes 2^62 grid steps or more over T is refused by name, before the
-    path is allocated."""
-    _require_positive(delta=delta)
+    makes 2^62 grid steps or more over T, or a path NumPy cannot allocate,
+    is refused by name, before the path is made.  The step is at most T."""
+    _require_positive(delta=delta, T=T)
     mu, sigma = _gbm_params(mu, sigma)
-    smax = float(np.max(np.linalg.norm(sigma, axis=1)))
-    step = (delta / (5.0 * smax)) ** 2
+    noise = delta / (5.0 * float(np.max(np.linalg.norm(sigma, axis=1))))
     mmax = float(np.max(np.abs(mu)))
-    if mmax > 0.0:
-        step = min(step, delta / (5.0 * mmax))
-    _require_positive(T=T)
-    if step == 0.0 or T / step >= 2.0**62:  # _grid's test, which would name the step
-        raise ValueError(
-            "delta must give fewer than 2^62 grid steps over T, "
-            f"got delta = {delta!r} and T = {T!r}"
-        )
+    step = min(noise * noise, delta / (5.0 * mmax) if mmax > 0.0 else T, T)
+    got = f"got delta = {delta!r} and T = {T!r}"
+    if step == 0.0 or T / step >= 2.0**62:  # _grid's tests, which name the step
+        raise ValueError(f"delta must give fewer than 2^62 grid steps over T, {got}")
+    if (math.ceil(T / step) + 1) * 8 * mu.size > sys.maxsize:
+        raise ValueError(f"delta must give a path over T that NumPy can allocate, {got}")
     path = gen_gbm(mu, sigma, T, step, seed)
     emb = embed(path, delta)
     logK, _ = _run_embedded_sos(emb)
@@ -519,4 +513,4 @@ def girsanov_rate_experiment(mu, sigma, T, delta, seed):
 def game_config_for_embedding(delta: float, d: int) -> GameConfig:
     """Axis-training game over the sphere of radius delta."""
     dom = Domain.sphere(d, delta)
-    return GameConfig(domain=dom, training=make_training(dom, _EPSILON0, "axis_2d"))
+    return GameConfig(domain=dom, training=make_training(dom))

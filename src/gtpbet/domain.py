@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 _BOUNDARY_SLACK = 1e-12  # absorbs transform rounding on membership tests
+_EPSILON0 = 0.1  # the training margin, make_training's default
 
 # Rows per block of the continuous path's per-row stages, which work column
 # by column: NumPy's inner loop runs along the last axis, of length d.  The
@@ -135,9 +136,16 @@ class Domain:
         return 2.0
 
 
+def _require_margin(epsilon0) -> None:
+    """Raise ValueError unless the training margin epsilon0 lies in (0, 1)."""
+    if not 0.0 < epsilon0 < 1.0:
+        raise ValueError(f"epsilon0 must be in (0, 1), got {epsilon0!r}")
+
+
 @dataclass(frozen=True)
 class TrainingSet:
-    """Synthetic prior outcomes guaranteeing epsilon0 interiority."""
+    """Synthetic prior outcomes guaranteeing epsilon0 interiority.  Raises
+    ValueError for epsilon0 outside (0, 1) and for points not spanning R^d."""
 
     epsilon0: float
     points: np.ndarray  # (n0, d)
@@ -151,6 +159,7 @@ class TrainingSet:
         return self.points.shape[1]
 
     def __post_init__(self):
+        _require_margin(self.epsilon0)
         pts = as_path(self.points)
         object.__setattr__(self, "points", pts)
         if np.linalg.matrix_rank(pts) != pts.shape[1]:
@@ -160,8 +169,8 @@ class TrainingSet:
 _MAX_CORNER_D = 20  # the largest d whose 2^d sign corners make_training builds
 
 
-def make_training(domain: Domain, epsilon0: float, scheme: str = "axis_2d") -> TrainingSet:
-    """Build the training set for a domain.
+def make_training(domain: Domain, epsilon0: float = _EPSILON0, scheme="axis_2d") -> TrainingSet:
+    """Build the training set for a domain with margin epsilon0.
 
     scheme "axis_2d" uses the 2d vectors +-c e_i with
     c = delta_bar * sqrt(d) / (1 - epsilon0), which certifies the
@@ -169,11 +178,10 @@ def make_training(domain: Domain, epsilon0: float, scheme: str = "axis_2d") -> T
     sign vectors of the box (the construction used with the return
     transform); it certifies prudence but only the epsilon0 -> 0 margin.
 
-    Raises ValueError for epsilon0 outside (0,1), for the corner scheme
+    Raises ValueError for epsilon0 outside (0, 1), for the corner scheme
     on non-box domains, and for d > 20 corners (2^d explosion).
     """
-    if not 0.0 < epsilon0 < 1.0:
-        raise ValueError("epsilon0 must lie in (0, 1)")
+    _require_margin(epsilon0)
     d = domain.d
     if scheme == "axis_2d":
         c = domain.delta_bar * math.sqrt(d) / (1.0 - epsilon0)

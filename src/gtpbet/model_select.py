@@ -32,7 +32,6 @@ from .sos import sos_run
 
 __all__ = ["NestedGameReport", "select_dimension"]
 
-_EPSILON0 = 0.1  # training margin of the nested games
 _MAX_D = 11  # the most columns whose nested runs converge (module docstring)
 
 
@@ -77,14 +76,14 @@ def select_dimension(paths) -> NestedGameReport:
         )
     # shared training: corners of the full box, projected per prefix
     full = Domain.box(-np.ones(d_max), np.ones(d_max))
-    signs = make_training(full, _EPSILON0, "corners_2tod").points
+    corners = make_training(full, scheme="corners_2tod")
     kl = np.empty(d_max)
     pen = np.empty(d_max)
     crit = np.empty(d_max)
     logk = np.empty(d_max)
     for d in range(1, d_max + 1):
         dom = Domain.box(-np.ones(d), np.ones(d))
-        train = TrainingSet(epsilon0=_EPSILON0, points=signs[:, :d].copy())
+        train = TrainingSet(epsilon0=corners.epsilon0, points=corners.points[:, :d].copy())
         cfg = GameConfig(domain=dom, training=train)
         res = sos_run(cfg, paths[:, :d])
         led = res.ledger

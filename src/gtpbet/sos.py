@@ -75,9 +75,8 @@ class SosResult:
 # perfbench exact_trading on a 2-core host (10 s runs at seeds 701-710,
 # order alternated) gave median pass_s 0.264 s at 16 and 0.245 s at 32,
 # and median peak RSS 86.8 and 87.2 MiB; 32 was faster at 8 of the 10
-# seeds and raised the peak RSS at all 10.  (With the line search, 8 gave
-# 0.42 s against 0.37 s at 16 and 32.)  At 128 OpenBLAS threads the block
-# products, which doubles the CPU time without saving wall time.
+# seeds and raised the peak RSS at all 10.  At 128, OpenBLAS threads the
+# block products, which doubles the CPU time without saving wall time.
 _BLOCK = 16
 
 

@@ -50,13 +50,13 @@ def transform_returns(prices, c: float):
     if F < 1 or F >= T - 1:
         raise ValueError("forecast horizon leaves no live rounds")
     z = (2.0 * returns - s_max - s_min) / (s_max - s_min)
-    corners = make_training(Domain.box(-np.ones(d), np.ones(d)), 0.1, "corners_2tod")
+    corners = make_training(Domain.box(-np.ones(d), np.ones(d)), scheme="corners_2tod")
     rho = (corners.points.sum(axis=0) + z[:F].sum(axis=0)) / (corners.n0 + F)
     tr = ReturnTransform(F=F, rho=rho)
     outcomes = z[F:] - rho
     # the corners of the shifted box are the centered unit corners
     dom = Domain.box(-1.0 - rho, 1.0 - rho)
-    cfg = GameConfig(domain=dom, training=make_training(dom, 0.1, "corners_2tod"))
+    cfg = GameConfig(domain=dom, training=make_training(dom, scheme="corners_2tod"))
     return outcomes, cfg, tr
 
 

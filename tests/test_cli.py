@@ -338,6 +338,10 @@ def test_float_keys_refuse_a_non_number(tmp_path, monkeypatch, cfg, key, value):
         ({"scenario": "sos_synthetic", "halfwidth": "-0.5"},
          "halfwidth must be positive and finite, got -0.5"),
         ({"scenario": "sos_synthetic", "epsilon0": "0"}, "epsilon0 must be in (0, 1), got 0.0"),
+        pytest.param({"scenario": "sos_synthetic", "epsilon0": "1"},
+                     "epsilon0 must be in (0, 1), got 1.0", id="sos_synthetic-epsilon0-one"),
+        pytest.param({"scenario": "sos_synthetic", "epsilon0": "nan"},
+                     "epsilon0 must be in (0, 1), got nan", id="sos_synthetic-epsilon0-nan"),
         ({"scenario": "girsanov", "d": "0"}, "d must be at least 1, got 0"),
         ({"scenario": "universal_compare", "M": "1"}, "M must be at least 2, got 1"),
         ({"scenario": "imaginary", "N": "-5"}, "N must be at least 1, got -5"),

@@ -694,6 +694,51 @@ def test_generators_refuse_a_grid_too_fine_to_index(tmp_path, make):
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "make, grid_step",
+    [
+        (lambda T, grid_step, outdir: gen_fbm(0.3, 0.1, T, grid_step, 0), 2.0**-60),
+        (lambda T, grid_step, outdir: gen_fbm(0.3, 0.1, T, grid_step, 0, np.float32), 2.0**-60),
+        (lambda T, grid_step, outdir: gen_gbm([0.1, 0.1], 0.3 * np.eye(2), T, grid_step, 0),
+         2.0**-59),
+        (_holder_run, 2.0**-60),
+    ],
+    ids=["gen_fbm", "gen_fbm-float32", "gen_gbm-d2", "holder"],
+)
+def test_generators_refuse_a_grid_numpy_cannot_allocate(tmp_path, make, grid_step):
+    # below 2^62 steps, but arrays of 2^63 bytes or more, where NumPy raised
+    # its unnamed "array is too big"; refused before any allocation
+    message = f"T / grid_step must give arrays NumPy can allocate, got T = 1.0 and grid_step = {grid_step!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make(1.0, grid_step, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_girsanov_refuses_a_path_numpy_cannot_allocate(monkeypatch, d):
+    # delta = 1.5 and sigma = 0.3 give a unit grid step, so T = 2^61 makes
+    # 2^61 steps: below 2^62, but a path of 2^64 bytes or more
+    monkeypatch.setattr(continuous, "gen_gbm", lambda *a, **k: pytest.fail("path made"))
+    message = f"delta must give a path over T that NumPy can allocate, got delta = 1.5 and T = {2.0**61!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        girsanov_rate_experiment([0.0] * d, 0.3 * np.eye(d), 2.0**61, 1.5, 7)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("mu", [0.1, 0.0])
+def test_girsanov_with_a_delta_no_price_move_reaches(mu, d):
+    # delta = 1e200: the noise step (delta / 1.5)^2 overflowed Python's float
+    # power.  The step is capped at T, one step that crosses no radius: no
+    # stop, no bet and log capital 0, found without the fast rule, whose V
+    # holds squares of c = delta sqrt(d) / 0.9 that overflow to inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = girsanov_rate_experiment([mu] * d, 0.3 * np.eye(d), 50.0, 1e200, 1)
+    assert out["N"] == 0
+    assert out["logK_over_T"] == 0.0
+    assert out["target"] == pytest.approx(0.5 * d * (mu / 0.3) ** 2)
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
 def test_gen_fbm_peak_memory():
     # the transform buffer of 2K doubles, pocketfft's plan and its scratch
@@ -720,7 +765,7 @@ def test_girsanov_peak_memory():
     # of 2^16 rows and int64 splice records, 1.60 when the run's moments
     # covered the whole path at once and 2.2 when synthesis also held the
     # draws and increments
-    K, _ = continuous._grid(100.0, (0.01 / 1.5) ** 2)  # the experiment's grid
+    K, _ = continuous._grid(100.0, (0.01 / 1.5) ** 2, 16)  # the experiment's grid
     call = "girsanov_rate_experiment([0.1, 0.1], 0.3 * np.eye(2), 100.0, 0.01, 1)"
     assert peak_rss_ratio(call, path_bytes=(K + 1) * 2 * 8) <= 1.40
 

@@ -1,5 +1,6 @@
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -104,6 +105,20 @@ def test_corner_training_rejections():
 def test_training_must_span():
     with pytest.raises(ValueError):
         TrainingSet(epsilon0=0.1, points=np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("epsilon0", [0.0, 1.0, -0.2, 1.5, math.nan, math.inf, -math.inf])
+def test_training_margin_is_checked_where_it_is_held(epsilon0):
+    # TrainingSet used to take any margin: 0 ran a whole sos_run and then
+    # divided by zero in summary()'s C2 = C1^2 / epsilon0^2, NaN wrote
+    # "C2": null and 1.5 a C2 of 1.78.  make_training refuses it the same
+    # way, before c divides by 1 - epsilon0
+    message = f"^{re.escape(f'epsilon0 must be in (0, 1), got {epsilon0!r}')}$"
+    with pytest.raises(ValueError, match=message):
+        TrainingSet(epsilon0=epsilon0, points=[[1.0], [-1.0]])
+    for scheme in ("axis_2d", "corners_2tod"):
+        with pytest.raises(ValueError, match=message):
+            make_training(Domain.box([-1.0], [1.0]), epsilon0, scheme)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
