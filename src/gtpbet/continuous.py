@@ -419,7 +419,7 @@ def gen_fbm(hurst, scale, T, grid_step, seed, dtype=np.float64) -> PricePath:
         raise ValueError("hurst must lie in (0, 1)")
     if not math.isfinite(scale):
         raise ValueError(f"scale must be finite, got {scale!r}")
-    K, h = _grid(T, grid_step, 2 * max(np.dtype(dtype).itemsize, 4))  # buffer, float64 path
+    K, h = _grid(T, grid_step, 2 * max(np.dtype(dtype).itemsize, 4))  # 2K of dtype, K + 1 of 8
     path = np.empty(K + 1)
     path[0] = 0.0
     path[1:] = _fgn_davies_harte(K, hurst, np.random.default_rng(seed), np.dtype(dtype))
@@ -435,8 +435,8 @@ def _run_embedded_sos(emb: Embedding):
     capital, the residual period from the last stop to the horizon
     included, and the unclipped bet V^{-1} s that sos_capital_fast forms
     after the last stop, which that period plays clipped.  With no stop
-    both are zero, as s, the sum of the +-c axis training points, is; they
-    skip the rule, whose V overflows to inf for a delta near 1e200."""
+    both are zero, as is s, the sum of the +-c axis training points, and
+    the rule is skipped: its V overflows to inf for a delta near 1e200."""
     d = emb.outcomes.shape[1]
     if emb.N == 0:
         return 0.0, np.zeros(d)

@@ -14,6 +14,12 @@ The manifest is one "digest  case/file" line per output, then NumPy's BLAS
 configuration.  Its bytes hold per host and BLAS kernel only: the exact
 run's files move in their last digits under another OpenBLAS kernel, which
 the sample's float tolerance allows for.
+
+What the sample cannot catch: a change to the text of a number that keeps
+its value, a move below the tolerance, and a move confined to rows between
+the sampled ones of a ledger column that does not accumulate (LD3, GR, QR,
+DR).  The cumulative columns (logK_true, LD1, LD2, the universal
+portfolio's capitals, ...) carry a change in one round to every later row.
 """
 
 import ctypes
