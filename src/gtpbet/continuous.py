@@ -336,87 +336,160 @@ def gen_gbm(mu, sigma, T, grid_step, seed) -> PricePath:
 def _fgn_davies_harte(n, hurst, rng, dtype):
     """Fractional Gaussian noise with exact covariance, unit steps.
 
-    The circulant embedding (Davies & Harte 1987) lives in one length-2n
-    buffer of dtype, which FFTPACK's real transforms overwrite in their
-    packed order: mode 0, then the real and imaginary parts of modes
-    1..n-1, then the real mode n.  The peak is that buffer plus pocketfft's
-    cached plan and its scratch, about three buffers of 2n values of dtype.
+    The circulant embedding (Davies & Harte 1987) lives in one buffer of 2n
+    values of dtype, read in place as the n complex values c_2j + i c_2j+1.
+    Each real transform of length 2n is then one complex transform of
+    length n, run in four steps over an (N2, N1) view of the buffer
+    (_four_step), plus a split that pairs mode k with mode n - k (_split).
+    No transform holds a plan or scratch longer than N2 values, N2 the
+    smallest divisor of n that is at least sqrt(n), so the peak is the
+    buffer and tables of about n^(3/4) values; a prime n makes N2 = n.
     Returns a view of the first n values of the buffer.
     """
-    from scipy import fftpack
-
     e = 2.0 * hurst
     m = 2 * n
     buf = np.empty(m, dtype=dtype)
-    # autocovariance 0.5 ((k+1)**e + |k-1|**e - 2 k**e) for k = 0..n from one
-    # power table.  The three-term difference cancels ~2H digits of k**e, so
-    # it is formed in float64 before any downcast
-    p = np.arange(n + 2, dtype=np.float64)
-    p **= e
-    # in place for float64; a narrower dtype needs a float64 scratch
-    acf = buf[: n + 1] if buf.dtype == np.float64 else np.empty(n + 1)
-    acf[0] = p[1] + p[1]
-    np.add(p[2:], p[:n], out=acf[1:])
-    p *= 2.0
-    acf -= p[: n + 1]
-    del p
-    np.multiply(acf, 0.5, out=buf[: n + 1])
-    del acf
+    # autocovariance 0.5 ((k+1)**e + |k-1|**e - 2 k**e) for k = 0..n, from a
+    # power table of _ROW_BLOCK values at a time.  The three-term difference
+    # cancels ~2H digits of k**e, so it is formed in float64 before any
+    # downcast
+    for lo in range(0, n + 1, _ROW_BLOCK):
+        hi = min(lo + _ROW_BLOCK, n + 1)
+        p = np.abs(np.arange(lo - 1, hi + 1, dtype=np.float64))
+        p **= e
+        acf = p[2:] + p[:-2]
+        p *= 2.0
+        acf -= p[1:-1]
+        np.multiply(acf, 0.5, out=buf[lo:hi])
     buf[n + 1 :] = buf[n - 1 : 0 : -1]
-    # eigenvalues of the circulant: mode 0 in buf[0], mode k = 1..n in
-    # buf[2k - 1]; the even slots hold imaginary parts, zero up to rounding
-    buf = fftpack.rfft(buf, overwrite_x=True)
-    eig = (buf[:1], buf[1::2])
+    N1 = max(d for d in range(1, math.isqrt(n) + 1) if n % d == 0)
+    N2 = n // N1
+    z = _four_step(buf.view(np.result_type(dtype, np.complex64)).reshape(N2, N1), -1)
+    buf = z.view(dtype).reshape(-1)
+    # the real transform's mode k is X_k = E_k + exp(-i pi k / n) O_k, E and
+    # O the transforms of the even and odd values; _split forms 2 X_k with
+    # w_k = -i exp(-i pi k / n) = a[k2] b[k1]
+    a = _unit_roots(n + 2 * np.arange(N2), 4 * n, -1, z.dtype)
+    b = _unit_roots(np.arange(N1), 2 * N1, -1, z.dtype)
+    top = _split(z, a, b, z[0, 0], z[0, 0])
+    # twice the eigenvalues of the circulant, real up to rounding: 2 lambda_k
+    # in both parts of mode k's slot, and the real modes 0 and n in slot 0
+    buf[1::2] = buf[::2]
+    buf[1] = top.real
     # rounding floor of the length-m transform; anything below it means the
     # embedding itself is indefinite rather than numerically fuzzy, which
     # the circulant embedding of fGn never is for H in (0, 1)
-    tol = max(1e-10, np.finfo(dtype).eps * math.sqrt(m)) * max(float(v.max()) for v in eig)
-    if min(v.min() for v in eig) < -tol:
+    tol = max(1e-10, np.finfo(dtype).eps * math.sqrt(m)) * float(buf.max())
+    if float(buf.min()) < -tol:
         raise InvariantError("circulant embedding of fGn is not positive semidefinite")
-    for v in eig:
-        np.maximum(v, 0.0, out=v)
-        v *= m / 2.0
-        np.sqrt(v, out=v)
-    # Hermitian-symmetric Gaussian spectrum sqrt(eig m / 2) (wr + i wi), with
-    # the two real modes scaled by sqrt 2 -> real noise via irfft.  Each mode
-    # k = 1..n-1 carries its amplitude in both of its slots.  The normals are
-    # drawn as the wr block of n + 1 and then the wi block of n + 1, the same
-    # stream as two whole draws, but in chunks of one small reused array:
-    # a draw array of the path's size would stay in the heap below glibc's
-    # mmap threshold and put the inverse transform's scratch on top of it
-    buf[2::2] = buf[1:-1:2]
-    w = np.empty(min(n + 1, _ROW_BLOCK), dtype=dtype)
-    for real in (True, False):
-        for lo in range(0, n + 1, w.size):
-            z = w[: min(w.size, n + 1 - lo)]
-            hi = lo + z.size
-            rng.standard_normal(dtype=dtype, out=z)
-            k0 = max(lo, 1)
-            if real:  # wr_k goes to slot 0 (k = 0) or slot 2k - 1
-                if lo == 0:
-                    z[0] *= math.sqrt(2.0)
-                    buf[0] *= z[0]
-                if hi == n + 1:
-                    z[-1] *= math.sqrt(2.0)
-                buf[2 * k0 - 1 : 2 * hi - 1 : 2] *= z[k0 - lo :]
-            else:  # wi_k goes to slot 2k for k = 1..n-1
-                k1 = min(hi, n)
-                buf[2 * k0 : 2 * k1 : 2] *= z[k0 - lo : k1 - lo]
-    del w, z
-    buf = fftpack.irfft(buf, overwrite_x=True)
-    return buf[:n]
+    np.maximum(buf, 0.0, out=buf)
+    buf *= n / 2.0
+    np.sqrt(buf, out=buf)
+    # Hermitian-symmetric Gaussian spectrum sqrt(lambda_k m / 2) (wr_k + i wi_k),
+    # with wr_0 and wr_n scaled by sqrt 2 and wi_0 = wi_n = 0.  The normals
+    # are drawn as the wr block of n + 1 and then the wi block, in mode
+    # order, the same stream as two whole draws, but into one small reused
+    # array: 16 whole columns of z at a time, or _ROW_BLOCK rows of one
+    # column when a column is longer.  A draw array of the path's size would
+    # raise the peak by half the buffer, and fewer columns make the strided
+    # products slower (2 columns took twice as long at n = 2^23).  wi_n, the
+    # last draw, is never used, so it is not drawn
+    cols, rows = (min(N1, 16), N2) if N2 <= _ROW_BLOCK else (1, _ROW_BLOCK)
+    w = np.empty(rows * cols, dtype=dtype)
+    for imag, part in enumerate((z.real, z.imag)):
+        for c in range(0, N1, cols):
+            for r in range(0, N2, rows):
+                s = part[r : r + rows, c : c + cols]
+                g = w[: s.size].reshape(s.shape[::-1])
+                rng.standard_normal(dtype=dtype, out=g)
+                s *= g.T
+        if not imag:  # wr_n, and the sqrt 2 of the two real modes
+            mode_n = buf[1] * (math.sqrt(2.0) * rng.standard_normal(dtype=dtype))
+            buf[0] *= math.sqrt(2.0)
+    buf[1] = mode_n  # wi_0 = 0: slot 0 holds the two real modes
+    # back to the real transform's input, in natural order
+    _split(z, a.conj(), b.conj(), buf[0], buf[1])
+    z = _four_step(z, 1)
+    noise = z.view(dtype).reshape(-1)[:n]
+    noise /= m
+    return noise
+
+
+def _unit_roots(t, n, sign, dtype):
+    """exp(sign 2 pi i t / n) for an integer array t, reduced mod n first."""
+    return np.exp((t % n) * (sign * 2j * math.pi / n)).astype(dtype, copy=False)
+
+
+def _four_step(z, sign):
+    """The length-n transform sum_j z_j exp(sign 2 pi i j k / n), unscaled,
+    in place over the (N2, N1) view z, n = N2 N1 (Bailey 1990).  Forward
+    (sign -1), z holds z_j at [j2, j1], j = N1 j2 + j1, and the result mode
+    k = k2 + N2 k1 at [k2, k1]: transforms of length N2 down the columns,
+    the twiddles exp(-2 pi i j1 k2 / n), transforms of length N1 along the
+    rows.  The inverse (sign 1) runs the same steps backwards, from that
+    transposed layout to natural order.  Returns the result, z itself
+    unless SciPy copies."""
+    from scipy import fft
+
+    N2, N1 = z.shape
+    n = N2 * N1
+    if sign < 0:  # both norms leave these transforms unscaled
+        transform, norm, axes = fft.fft, "backward", (0, 1)
+    else:
+        transform, norm, axes = fft.ifft, "forward", (1, 0)
+    z = transform(z, axis=axes[0], norm=norm, overwrite_x=True)
+    # the twiddle of row k2 = q P + r is low[r] high[q]: two tables of
+    # about sqrt(N2) rows each, applied P rows at a time
+    P = math.isqrt(N2 - 1) + 1
+    j1 = np.arange(N1)
+    low = _unit_roots(np.outer(np.arange(P), j1), n, sign, z.dtype)
+    high = _unit_roots(np.outer(np.arange(0, N2, P), j1), n, sign, z.dtype)
+    for q, lo in enumerate(range(0, N2, P)):
+        block = z[lo : lo + P]
+        block *= low[: block.shape[0]]
+        block *= high[q]
+    return transform(z, axis=axes[1], norm=norm, overwrite_x=True)
+
+
+def _split(z, a, b, z0, zn):
+    """z_k <- (z_k + conj z_(n-k)) + w_k (z_k - conj z_(n-k)) in place, for
+    every mode k = k2 + N2 k1 of the transposed spectrum z, at [k2, k1],
+    with w_k = a[k2] b[k1] and mode 0 paired as z0 with zn.  Returns the
+    map's value at mode n, which has no slot.  Needs w_(n-k) = conj(w_k):
+    then the value at n - k is conj(A - B) where the value at k is A + B,
+    so each pair is formed once.  Row 0 pairs its columns k1 and N1 - k1;
+    rows k2 and N2 - k2 pair column-reversed, a block of rows at a time,
+    both partners computed from copies."""
+    N2, N1 = z.shape
+
+    def pair(p, q, w):  # p = z_k (a copy), q = conj z_(n-k)
+        s = p + q
+        p -= q
+        p *= w
+        return s + p, np.conj(np.subtract(s, p, out=s), out=s)
+
+    p = z[0].copy()
+    q = np.conj(np.roll(p[::-1], 1))
+    p[0], q[0] = z0, np.conj(zn)
+    z[0], top = pair(p, q, a[0] * b)
+    h = max(1, _ROW_BLOCK // N1)
+    for lo in range(1, N2 // 2 + 1, h):
+        hi = min(lo + h, N2 // 2 + 1)
+        partner = z[N2 - lo : N2 - hi : -1, ::-1]
+        z[lo:hi], partner[...] = pair(z[lo:hi].copy(), np.conj(partner), a[lo:hi, None] * b)
+    return top[0]
 
 
 def gen_fbm(hurst, scale, T, grid_step, seed, dtype=np.float64) -> PricePath:
     """Exponential of fractional Brownian motion from 1, one column, with
     exact increment covariance by circulant (Davies-Harte) embedding.  The
     noise is synthesized in one buffer of 2K values of dtype, then summed
-    in place into the float64 path, returned with T alone.  Synthesis peaks
-    at about three such buffers (the buffer, pocketfft's cached plan and its
-    scratch); float32 halves that, not the path.  A grid whose buffer or
-    path NumPy cannot allocate is refused first, by T and grid_step."""
+    in place into the float64 path, returned with T alone.  The peak is that
+    buffer plus the path: three path sizes, or two in float32, which halves
+    the buffer, not the path.  A grid whose buffer or path NumPy cannot
+    allocate is refused first, by T and grid_step."""
     if not 0.0 < hurst < 1.0:
-        raise ValueError("hurst must lie in (0, 1)")
+        raise ValueError(f"hurst must be in (0, 1), got {hurst!r}")
     if not math.isfinite(scale):
         raise ValueError(f"scale must be finite, got {scale!r}")
     K, h = _grid(T, grid_step, 2 * max(np.dtype(dtype).itemsize, 4))  # 2K of dtype, K + 1 of 8

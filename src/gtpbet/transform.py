@@ -40,7 +40,7 @@ def transform_returns(prices, c: float):
     if T < 3:
         raise ValueError("need at least three price rows")
     if not 0.0 < c < 1.0:
-        raise ValueError("c must lie in (0, 1)")
+        raise ValueError(f"c must be in (0, 1), got {c!r}")
     returns = prices[1:] / prices[:-1] - 1.0  # (T-1, d)
     s_max = returns.max(axis=0)
     s_min = returns.min(axis=0)

@@ -9,6 +9,7 @@ import pytest
 from scipy import fft
 
 from gtpbet import (
+    InvariantError,
     PricePath,
     continuous,
     embed,
@@ -595,12 +596,10 @@ def _reference_fgn(n, hurst, rng, dtype):
     return fft.irfft(spec, n=m)[:n]
 
 
-def _reference_fbm(hurst, scale, T, grid_step, seed, dtype):
-    """exp of the scaled running sum of the plain noise, as one column."""
-    K = int(math.ceil(T / grid_step))
-    h = T / K
-    noise = _reference_fgn(K, hurst, np.random.default_rng(seed), dtype)
-    col = np.concatenate([[0.0], np.cumsum(noise, dtype=np.float64)]) * h**hurst
+def _reference_fbm(noise, hurst, scale, T):
+    """exp of the scaled running sum of the noise, as one column."""
+    K = noise.size
+    col = np.concatenate([[0.0], np.cumsum(noise, dtype=np.float64)]) * (T / K) ** hurst
     return np.linspace(0.0, T, K + 1), np.exp(scale * col[:, None])
 
 
@@ -616,25 +615,55 @@ def _reference_gbm(mu, sigma, T, grid_step, seed):
     return np.linspace(0.0, T, K + 1), np.exp(logS)
 
 
-# d is the path's width: gen_fbm makes one column
+# d is the path's width: gen_fbm makes one column.  K = 1, 2, 3 and 7 are
+# prime, a single transform; 4097 = 17 * 241 leaves a part block of columns
+# in the draws; 10**6 + 1 = 101 * 9901 has columns longer than _ROW_BLOCK
 _FBM_CASES = [
     (K, hurst, 1, dtype)
     for K in (1, 2, 3, 7)
     for hurst in (0.25, 0.3, 0.5, 0.8)
     for dtype in (np.float64, np.float32)
-] + [(10**6 + 1, hurst, 1, dtype) for hurst in (0.3, 0.5, 0.8) for dtype in (np.float64, np.float32)]
+] + [
+    (K, hurst, 1, dtype)
+    for K, hursts in ((4097, (0.3,)), (2**16, (0.3,)), (10**6 + 1, (0.3, 0.5, 0.8)))
+    for hurst in hursts
+    for dtype in (np.float64, np.float32)
+]
+
+
+@pytest.mark.parametrize("K, hurst, dtype", [(K, hurst, dtype) for K, hurst, _, dtype in _FBM_CASES])
+def test_fgn_matches_plain_synthesis_within_rounding(K, hurst, dtype):
+    # the four-step transforms round differently from the plain length-2K
+    # real ones, so the noise is compared within a bound fixed beforehand:
+    # 4 eps log2(2K), relative to the larger of 1 and the largest value.
+    # At most 0.17 of it measured here.  H = 0.25 and 0.5 hit NumPy's sqrt and
+    # identity shortcuts for ** 0.5 and ** 1
+    ref = _reference_fgn(K, hurst, np.random.default_rng(17), dtype)
+    got = continuous._fgn_davies_harte(K, hurst, np.random.default_rng(17), np.dtype(dtype))
+    assert got.dtype == dtype and got.shape == (K,)
+    bound = 4.0 * np.finfo(dtype).eps * math.log2(2 * K) * max(1.0, float(np.abs(ref).max()))
+    assert float(np.abs(got.astype(np.float64) - ref).max()) <= bound
 
 
 @pytest.mark.parametrize("K, hurst, d, dtype", _FBM_CASES)
 def test_gen_fbm_bit_identical_to_plain_synthesis(K, hurst, d, dtype):
-    # a power-of-two step makes T / grid_step exactly K; 10**6 + 1 gives a
-    # transform length with large prime factors, and H = 0.25 and 0.5 hit
-    # NumPy's sqrt and identity shortcuts for ** 0.5 and ** 1
+    # the path is the plain running sum, scale and exp of the noise that
+    # _fgn_davies_harte makes from the same seed, bit for bit; a
+    # power-of-two step makes T / grid_step exactly K
     step = 2.0**-20
     p = gen_fbm(hurst, 0.2, K * step, step, 17, dtype=dtype)
-    times, values = _reference_fbm(hurst, 0.2, K * step, step, 17, dtype)
+    noise = continuous._fgn_davies_harte(K, hurst, np.random.default_rng(17), np.dtype(dtype))
+    times, values = _reference_fbm(noise, hurst, 0.2, K * step)
     assert p.values.shape == (times.size, d) and p.T == times[-1]
     assert np.array_equal(p.values, values)
+
+
+@pytest.mark.parametrize("K", [1, 64, 4097])
+def test_fgn_refuses_an_indefinite_embedding(K):
+    # H outside (0, 1) gives a circulant with negative eigenvalues; at K = 1
+    # the negative one is mode K, kept in slot 0 next to mode 0
+    with pytest.raises(InvariantError, match="not positive semidefinite"):
+        continuous._fgn_davies_harte(K, 1.5, np.random.default_rng(0), np.dtype(np.float64))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -741,10 +770,14 @@ def test_girsanov_with_a_delta_no_price_move_reaches(mu, d):
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
 def test_gen_fbm_peak_memory():
-    # the transform buffer of 2K doubles, pocketfft's plan and its scratch
-    # make six path sizes (6.07 measured here); a second copy of the
-    # spectrum would reach ten
-    assert peak_rss_ratio("gen_fbm(0.3, 0.1, 1.0, 2**-21, 1)") <= 8.0
+    # the transform buffer of 2K values of dtype, then the path: three path
+    # sizes in float64 (3.06 measured here) and two in float32 (2.13).  The
+    # rest is the four-step transform's tables and plans of about K^(3/4)
+    # values.  The old length-2K real transforms held a plan and a scratch
+    # the buffer's size (6.07 in float64), and a float64 power table and
+    # autocovariance of K values each raised float32 to three
+    assert peak_rss_ratio("gen_fbm(0.3, 0.1, 1.0, 2**-21, 1)") <= 3.25
+    assert peak_rss_ratio("gen_fbm(0.3, 0.1, 1.0, 2**-21, 1, np.float32)") <= 2.25
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
@@ -787,9 +820,12 @@ def test_scan_peak_memory():
     assert peak <= 2 * path.values.shape[0] + 12 * stops.size
 
 
-def test_gen_fbm_rejects_bad_hurst():
-    with pytest.raises(ValueError):
-        gen_fbm(1.5, 0.1, 1.0, 0.01, 0)
+def test_gen_fbm_rejects_bad_hurst(monkeypatch):
+    monkeypatch.setattr(continuous, "_fgn_davies_harte", lambda *a, **k: pytest.fail("noise made"))
+    for hurst in (1.5, 0.0, 1.0, -0.2, math.nan):
+        message = f"hurst must be in (0, 1), got {hurst!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            gen_fbm(hurst, 0.1, 1.0, 0.01, 0)
 
 
 def test_holder_experiment_gbm_estimates():

@@ -65,6 +65,14 @@ def test_degenerate_inputs():
         transform_returns(np.array([100.0, 101.0, 102.0]), 0.9)
 
 
+@pytest.mark.parametrize("c", [1.5, 0.0, 1.0, -0.2, float("nan")])
+def test_transform_refuses_c_outside_the_unit_interval(c):
+    prices = 100.0 * np.cumprod(1.0 + np.random.default_rng(4).uniform(-0.05, 0.05, size=30))
+    message = f"c must be in (0, 1), got {c!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        transform_returns(prices, c)
+
+
 def test_read_price_csv(tmp_path):
     f = tmp_path / "prices.csv"
     f.write_text("date,A,B\n2020-01-01,100,50\n2020-01-02,101,49\n")
