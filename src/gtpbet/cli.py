@@ -216,7 +216,8 @@ def _summary_json(summary: dict) -> str:
     return json.dumps(_finite_or_null(summary), indent=2, allow_nan=False)
 
 
-def run_scenario(cfg: dict, outdir: Path) -> dict:
+def run_scenario(cfg: dict, outdir: str | Path) -> dict:
+    outdir = Path(outdir)
     scenario = cfg.get("scenario")
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}")
@@ -251,7 +252,7 @@ def run_scenario(cfg: dict, outdir: Path) -> dict:
 
 def _cmd_run(args) -> int:
     cfg = parse_config(args.config)
-    outdir = Path(args.outdir) if args.outdir else Path(args.config).parent / "out"
+    outdir = args.outdir or Path(args.config).parent / "out"
     print(_summary_json(run_scenario(cfg, outdir)))
     return 0
 

@@ -364,16 +364,17 @@ def _fgn_davies_harte(n, hurst, rng, dtype):
     buf[n + 1 :] = buf[n - 1 : 0 : -1]
     N1 = max(d for d in range(1, math.isqrt(n) + 1) if n % d == 0)
     N2 = n // N1
-    z = _four_step(buf.view(np.result_type(dtype, np.complex64)).reshape(N2, N1), -1)
-    buf = z.view(dtype).reshape(-1)
+    z = buf.view(np.result_type(dtype, np.complex64)).reshape(N2, N1)
+    _four_step(z, -1)
     # the real transform's mode k is X_k = E_k + exp(-i pi k / n) O_k, E and
     # O the transforms of the even and odd values; _split forms 2 X_k with
     # w_k = -i exp(-i pi k / n) = a[k2] b[k1]
     a = _unit_roots(n + 2 * np.arange(N2), 4 * n, -1, z.dtype)
     b = _unit_roots(np.arange(N1), 2 * N1, -1, z.dtype)
     top = _split(z, a, b, z[0, 0], z[0, 0])
-    # twice the eigenvalues of the circulant, real up to rounding: 2 lambda_k
-    # in both parts of mode k's slot, and the real modes 0 and n in slot 0
+    # twice the eigenvalues of the circulant over n, as _four_step scales by
+    # 1/n, real up to rounding: 2 lambda_k / n in both parts of mode k's
+    # slot, and the real modes 0 and n in slot 0
     buf[1::2] = buf[::2]
     buf[1] = top.real
     # rounding floor of the length-m transform; anything below it means the
@@ -383,7 +384,7 @@ def _fgn_davies_harte(n, hurst, rng, dtype):
     if float(buf.min()) < -tol:
         raise InvariantError("circulant embedding of fGn is not positive semidefinite")
     np.maximum(buf, 0.0, out=buf)
-    buf *= n / 2.0
+    buf *= n * (n / 2.0)  # lambda_k m / 2, from 2 lambda_k / n
     np.sqrt(buf, out=buf)
     # Hermitian-symmetric Gaussian spectrum sqrt(lambda_k m / 2) (wr_k + i wi_k),
     # with wr_0 and wr_n scaled by sqrt 2 and wi_0 = wi_n = 0.  The normals
@@ -409,9 +410,9 @@ def _fgn_davies_harte(n, hurst, rng, dtype):
     buf[1] = mode_n  # wi_0 = 0: slot 0 holds the two real modes
     # back to the real transform's input, in natural order
     _split(z, a.conj(), b.conj(), buf[0], buf[1])
-    z = _four_step(z, 1)
-    noise = z.view(dtype).reshape(-1)[:n]
-    noise /= m
+    _four_step(z, 1)
+    noise = buf[:n]
+    noise *= 0.5  # the inverse's 1/n, less the real transform's 1/m
     return noise
 
 
@@ -421,23 +422,23 @@ def _unit_roots(t, n, sign, dtype):
 
 
 def _four_step(z, sign):
-    """The length-n transform sum_j z_j exp(sign 2 pi i j k / n), unscaled,
-    in place over the (N2, N1) view z, n = N2 N1 (Bailey 1990).  Forward
+    """The length-n transform (1/n) sum_j z_j exp(sign 2 pi i j k / n) in
+    place over the (N2, N1) view z, n = N2 N1 (Bailey 1990).  Forward
     (sign -1), z holds z_j at [j2, j1], j = N1 j2 + j1, and the result mode
     k = k2 + N2 k1 at [k2, k1]: transforms of length N2 down the columns,
     the twiddles exp(-2 pi i j1 k2 / n), transforms of length N1 along the
     rows.  The inverse (sign 1) runs the same steps backwards, from that
-    transposed layout to natural order.  Returns the result, z itself
-    unless SciPy copies."""
-    from scipy import fft
-
+    transposed layout to natural order.  Both directions are scaled by
+    1/length, because NumPy passes an unscaled transform the int 1 as its
+    scale, which sends complex64 through the complex128 loop and a copy of
+    z; a scale of z's own precision keeps either dtype in place."""
     N2, N1 = z.shape
     n = N2 * N1
-    if sign < 0:  # both norms leave these transforms unscaled
-        transform, norm, axes = fft.fft, "backward", (0, 1)
+    if sign < 0:
+        transform, norm, axes = np.fft.fft, "forward", (0, 1)
     else:
-        transform, norm, axes = fft.ifft, "forward", (1, 0)
-    z = transform(z, axis=axes[0], norm=norm, overwrite_x=True)
+        transform, norm, axes = np.fft.ifft, "backward", (1, 0)
+    transform(z, axis=axes[0], norm=norm, out=z)
     # the twiddle of row k2 = q P + r is low[r] high[q]: two tables of
     # about sqrt(N2) rows each, applied P rows at a time
     P = math.isqrt(N2 - 1) + 1
@@ -448,7 +449,7 @@ def _four_step(z, sign):
         block = z[lo : lo + P]
         block *= low[: block.shape[0]]
         block *= high[q]
-    return transform(z, axis=axes[1], norm=norm, overwrite_x=True)
+    transform(z, axis=axes[1], norm=norm, out=z)
 
 
 def _split(z, a, b, z0, zn):
@@ -483,7 +484,8 @@ def _split(z, a, b, z0, zn):
 def gen_fbm(hurst, scale, T, grid_step, seed, dtype=np.float64) -> PricePath:
     """Exponential of fractional Brownian motion from 1, one column, with
     exact increment covariance by circulant (Davies-Harte) embedding.  The
-    noise is synthesized in one buffer of 2K values of dtype, then summed
+    noise is synthesized in one buffer of 2K values of dtype, transformed
+    in place by NumPy's FFT in four steps of length about sqrt(K), then summed
     in place into the float64 path, returned with T alone.  The peak is that
     buffer plus the path: three path sizes, or two in float32, which halves
     the buffer, not the path.  A grid whose buffer or path NumPy cannot

@@ -58,15 +58,16 @@ def peak_rss_ratio(call, path_bytes=None):
 
     `call` is an expression over `gen_fbm`, `gen_gbm`,
     `girsanov_rate_experiment` and `np`, run in a fresh interpreter once
-    numpy and scipy.fft, the one SciPy module gen_fbm imports, are
-    imported, so the rise is the call's own working memory.  The peak is VmHWM from /proc/self/status
+    numpy is imported, with numpy.random and numpy.fft, which NumPy loads
+    on first use (numpy.random adds about 6 MiB), so the rise is the
+    call's own working memory.  The peak is VmHWM from /proc/self/status
     (Linux only), the high-water mark of the interpreter's own memory.
     ru_maxrss would not do: Linux carries it over from the process that
     started the interpreter, so under a test run that peaked higher the
     rise would read 0.
     """
     code = (
-        "import numpy as np, scipy.fft\n"
+        "import numpy as np, numpy.fft, numpy.random\n"
         "from gtpbet.continuous import gen_fbm, gen_gbm, girsanov_rate_experiment\n"
         "def peak():  # KiB\n"
         "    with open('/proc/self/status') as f:\n"

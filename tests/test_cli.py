@@ -147,10 +147,11 @@ def test_transform_csv_bytes_equal_per_value_format(tmp_path):
     assert out.read_bytes() == want.encode()
 
 
-def test_exact_scenarios_import_no_scipy(tmp_path):
-    # a fresh interpreter, so that no other test's imports count
+def test_every_scenario_runs_without_scipy(tmp_path):
+    # a fresh interpreter in which any import of SciPy fails
     code = (
-        "import json, sys\n"
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
         "from pathlib import Path\n"
         "import numpy as np\n"
         "from gtpbet.cli import run_scenario\n"
@@ -161,9 +162,12 @@ def test_exact_scenarios_import_no_scipy(tmp_path):
         "            {'scenario': 'universal_compare', 'N': '50', 'M': '10'},\n"
         "            {'scenario': 'imaginary', 'N': '50'},\n"
         "            {'scenario': 'sos_synthetic', 'd': '2', 'N': '50'},\n"
-        "            {'scenario': 'model_select', 'N': '50', 'd_max': '2'}):\n"
+        "            {'scenario': 'model_select', 'N': '50', 'd_max': '2'},\n"
+        "            {'scenario': 'holder', 'H': '0.4', 'delta': '0.05 0.02', 'scale': '0.1',\n"
+        "             'T': '0.5', 'grid_step': '1e-4'},\n"
+        "            {'scenario': 'girsanov', 'd': '2', 'mu': '0.05', 'sigma': '0.2', 'T': '1',\n"
+        "             'delta': '0.05'}):\n"
         "    run_scenario(cfg, out / cfg['scenario'])\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))\n"
     )
     src = str(Path(gtpbet.__file__).resolve().parent.parent)
     proc = subprocess.run(
@@ -172,8 +176,17 @@ def test_exact_scenarios_import_no_scipy(tmp_path):
         env=dict(os.environ, PYTHONPATH=src),
     )
     assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "sos_csv" / "summary.json").exists()
-    assert json.loads(proc.stdout) == []
+    assert sorted(p.parent.name for p in tmp_path.glob("*/summary.json")) == sorted(SCENARIOS)
+
+
+def test_str_outdir_writes_what_a_path_does(tmp_path):
+    cfg = {"scenario": "holder", "delta": "0.05 0.02", "T": "0.5", "grid_step": "1e-4"}
+    assert run_scenario(cfg, str(tmp_path / "s")) == run_scenario(cfg, tmp_path / "p")
+    files = sorted(f.name for f in (tmp_path / "p").iterdir())
+    assert files == ["holder.csv", "summary.json"]
+    assert sorted(f.name for f in (tmp_path / "s").iterdir()) == files
+    for name in files:
+        assert (tmp_path / "s" / name).read_bytes() == (tmp_path / "p" / name).read_bytes()
 
 
 def _strict_json(text):

@@ -771,11 +771,13 @@ def test_girsanov_with_a_delta_no_price_move_reaches(mu, d):
 @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
 def test_gen_fbm_peak_memory():
     # the transform buffer of 2K values of dtype, then the path: three path
-    # sizes in float64 (3.06 measured here) and two in float32 (2.13).  The
+    # sizes in float64 (3.06 measured here) and two in float32 (2.12).  The
     # rest is the four-step transform's tables and plans of about K^(3/4)
     # values.  The old length-2K real transforms held a plan and a scratch
     # the buffer's size (6.07 in float64), and a float64 power table and
-    # autocovariance of K values each raised float32 to three
+    # autocovariance of K values each raised float32 to three.  The float32
+    # case also guards the transforms' scaled norms: unscaled, NumPy runs
+    # complex64 through its complex128 loop and a copy, 5.12 path sizes
     assert peak_rss_ratio("gen_fbm(0.3, 0.1, 1.0, 2**-21, 1)") <= 3.25
     assert peak_rss_ratio("gen_fbm(0.3, 0.1, 1.0, 2**-21, 1, np.float32)") <= 2.25
 

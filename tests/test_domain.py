@@ -8,6 +8,7 @@ import pytest
 from gtpbet import (
     CapitalLedger,
     Domain,
+    GameConfig,
     PhiProblem,
     TrainingSet,
     UniversalPortfolioConfig,
@@ -43,6 +44,26 @@ def test_box_requires_origin_interior():
 )
 def test_domain_refuses_non_finite_geometry(make, message):
     with pytest.raises(ValueError, match=f"^{message}, got"):
+        make()
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Domain(d=0, kind="sphere", radius=1.0), "dimension must be positive"),
+        (lambda: Domain(d=2, kind="box", lo=[-1.0], hi=[1.0, 1.0]), r"box bounds must have shape \(d,\)"),
+        (lambda: Domain(d=1, kind="ball", radius=1.0), "unknown domain kind 'ball'"),
+        (lambda: make_training(Domain.box([-1.0], [1.0]), 0.5, "axis"), "unknown training scheme 'axis'"),
+        (
+            lambda: GameConfig(Domain.box([-1.0, -1.0], [1.0, 1.0]), make_training(Domain.box([-1.0], [1.0]))),
+            "training dimension does not match domain",
+        ),
+        (lambda: UniversalPortfolioConfig(M=1), "need at least two accounts"),
+        (lambda: PhiProblem(np.array([[0.5, 0.5], [-0.5, -0.5]])), "outcome history must have full column rank"),
+    ],
+)
+def test_constructors_refuse_what_they_cannot_hold(make, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
         make()
 
 
@@ -187,6 +208,8 @@ def test_as_path_width_from_the_array():
         ([[1.0, 2.0], [1.0, -np.inf], [1.0, 1.0]], "non-finite price at row 1"),
         ([[1.0, 2.0], [1.0, 3.0], [-0.0, 1.0]], r"prices must be strictly positive \(row 2\)"),
         ([[1.0, 2.0], [0.0, 3.0], [-1.0, 1.0]], r"prices must be strictly positive \(row 1\)"),
+        # a table of one more axis is refused by its shape, before any row
+        (np.ones((2, 2, 2)), r"price table of shape \(2, 2, 2\) is not \(T, d\)$"),
     ],
 )
 def test_as_prices_names_the_first_bad_row(rows, cause):

@@ -62,6 +62,19 @@ def test_report_csv_bytes_equal_per_value_format(tmp_path):
     assert out.read_bytes() == want.encode()
 
 
+def test_penalty_not_monotone_warns():
+    # the model_select scenario's inputs (d_max = 3, N = 1,000) at seed 12,
+    # where the penalties run 0.875, 0.578, 0.842: each d-game's LD2 is
+    # taken along its own bets, so the penalty is not nested
+    rng = np.random.default_rng(12)
+    drift = rng.uniform(0.05, 0.2, size=3)
+    paths = np.clip(rng.uniform(-0.5, 0.5, size=(1000, 3)) + drift, -0.9, 0.9)
+    with pytest.warns(UserWarning, match="^penalty not monotone between d=1 and d=2$") as seen:
+        rep = select_dimension(paths)
+    assert len(seen) == 1
+    assert rep.penalty[1] < rep.penalty[0] and rep.penalty[1] < rep.penalty[2]
+
+
 def test_length_mismatch_rejected():
     with pytest.raises(ValueError):
         select_dimension(np.zeros((0, 2)))
