@@ -344,11 +344,14 @@ def _fgn_davies_harte(n, hurst, rng, dtype):
     No transform holds a plan or scratch longer than N2 values, N2 the
     smallest divisor of n that is at least sqrt(n), so the peak is the
     buffer and tables of about n^(3/4) values; a prime n makes N2 = n.
-    Returns a view of the first n values of the buffer.
+    The buffer is sized for the path of n + 1 float64 that gen_fbm builds in
+    it: 2n values in float64, 2n + 2 in float32, of which the transforms use
+    the first 2n.  Returns a view of the first n values, whose base is that
+    buffer.
     """
     e = 2.0 * hurst
     m = 2 * n
-    buf = np.empty(m, dtype=dtype)
+    buf = np.empty(max(m, 8 * (n + 1) // dtype.itemsize), dtype=dtype)[:m]
     # autocovariance 0.5 ((k+1)**e + |k-1|**e - 2 k**e) for k = 0..n, from a
     # power table of _ROW_BLOCK values at a time.  The three-term difference
     # cancels ~2H digits of k**e, so it is formed in float64 before any
@@ -417,8 +420,11 @@ def _fgn_davies_harte(n, hurst, rng, dtype):
 
 
 def _unit_roots(t, n, sign, dtype):
-    """exp(sign 2 pi i t / n) for an integer array t, reduced mod n first."""
-    return np.exp((t % n) * (sign * 2j * math.pi / n)).astype(dtype, copy=False)
+    """exp(sign 2 pi i t / n) for an integer array t, reduced mod n first.
+    t is overwritten, and the complex128 angles take their exp in place."""
+    t %= n
+    w = np.multiply(t, sign * 2j * math.pi / n)
+    return np.exp(w, out=w).astype(dtype, copy=False)
 
 
 def _four_step(z, sign):
@@ -485,19 +491,37 @@ def gen_fbm(hurst, scale, T, grid_step, seed, dtype=np.float64) -> PricePath:
     """Exponential of fractional Brownian motion from 1, one column, with
     exact increment covariance by circulant (Davies-Harte) embedding.  The
     noise is synthesized in one buffer of 2K values of dtype, transformed
-    in place by NumPy's FFT in four steps of length about sqrt(K), then summed
-    in place into the float64 path, returned with T alone.  The peak is that
-    buffer plus the path: three path sizes, or two in float32, which halves
-    the buffer, not the path.  A grid whose buffer or path NumPy cannot
-    allocate is refused first, by T and grid_step."""
+    in place by NumPy's FFT in four steps of length about sqrt(K).  The
+    buffer is the path's home: the noise is shifted up one slot, widened to
+    float64 in place, the buffer shrunk to the K + 1 values of the path and
+    the path summed in place, returned with T alone.  The peak is that
+    buffer: two path sizes, or one in float32.  A grid whose buffer NumPy
+    cannot allocate is refused first, by T and grid_step."""
     if not 0.0 < hurst < 1.0:
         raise ValueError(f"hurst must be in (0, 1), got {hurst!r}")
     if not math.isfinite(scale):
         raise ValueError(f"scale must be finite, got {scale!r}")
-    K, h = _grid(T, grid_step, 2 * max(np.dtype(dtype).itemsize, 4))  # 2K of dtype, K + 1 of 8
-    path = np.empty(K + 1)
+    # one buffer of 2K of dtype, which holds the path's K + 1 of 8
+    K, h = _grid(T, grid_step, 2 * max(np.dtype(dtype).itemsize, 4))
+    noise = _fgn_davies_harte(K, hurst, np.random.default_rng(seed), np.dtype(dtype))
+    buf = noise.base
+    # path[i + 1] starts at or above noise[i]'s byte in either dtype, so
+    # blocks copied from the top down never overwrite unread noise
+    path = buf.view(np.float64)
+    for lo in reversed(range(0, K, _ROW_BLOCK)):
+        hi = min(lo + _ROW_BLOCK, K)
+        path[lo + 1 : hi + 1] = noise[lo:hi]
     path[0] = 0.0
-    path[1:] = _fgn_davies_harte(K, hurst, np.random.default_rng(seed), np.dtype(dtype))
+    # give back the tail.  resize refuses while anything else references buf,
+    # which a move would leave dangling: a stray view, or a tracer's snapshot
+    # of this frame's locals (frame.f_locals before Python 3.13).  The path
+    # then stays at the front of the whole buffer
+    del noise, path
+    try:
+        buf.resize(8 * (K + 1) // buf.itemsize)
+    except ValueError:
+        pass
+    path = buf.view(np.float64)[: K + 1]
     np.cumsum(path[1:], out=path[1:])
     path *= h**hurst
     path *= scale

@@ -57,10 +57,10 @@ def peak_rss_ratio(call, path_bytes=None):
     its path inside and returns something else.
 
     `call` is an expression over `gen_fbm`, `gen_gbm`,
-    `girsanov_rate_experiment` and `np`, run in a fresh interpreter once
-    numpy is imported, with numpy.random and numpy.fft, which NumPy loads
-    on first use (numpy.random adds about 6 MiB), so the rise is the
-    call's own working memory.  The peak is VmHWM from /proc/self/status
+    `girsanov_rate_experiment`, `holder_experiment` and `np`, run in a
+    fresh interpreter once numpy is imported, with numpy.random and
+    numpy.fft, which NumPy loads on first use (numpy.random adds about
+    6 MiB), so the rise is the call's own working memory.  The peak is VmHWM from /proc/self/status
     (Linux only), the high-water mark of the interpreter's own memory.
     ru_maxrss would not do: Linux carries it over from the process that
     started the interpreter, so under a test run that peaked higher the
@@ -68,7 +68,7 @@ def peak_rss_ratio(call, path_bytes=None):
     """
     code = (
         "import numpy as np, numpy.fft, numpy.random\n"
-        "from gtpbet.continuous import gen_fbm, gen_gbm, girsanov_rate_experiment\n"
+        "from gtpbet.continuous import gen_fbm, gen_gbm, girsanov_rate_experiment, holder_experiment\n"
         "def peak():  # KiB\n"
         "    with open('/proc/self/status') as f:\n"
         "        return next(int(line.split()[1]) for line in f if line.startswith('VmHWM:'))\n"
