@@ -11,7 +11,9 @@ jaggedness (Holder roughness) of the path.
 from __future__ import annotations
 
 import math
+import os
 import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -333,6 +335,55 @@ def gen_gbm(mu, sigma, T, grid_step, seed) -> PricePath:
     return PricePath(values, T)
 
 
+def _workers():
+    """2 when this process may run on two CPUs or more, else 1: the CPUs
+    of its affinity mask, or of the host where there is no such mask."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(cpus, 2)
+
+
+def _start(work, *args):
+    """Run work(*args) in a worker thread, or at once in the caller when
+    there is one worker (_workers).  Returns a join() that waits for the
+    worker and raises its exception, once."""
+    if _workers() < 2:
+        work(*args)
+        return _joined
+    failed = []
+
+    def run():
+        try:
+            work(*args)
+        except BaseException as e:  # raised in the caller by join
+            failed.append(e)
+
+    t = threading.Thread(target=run)
+    t.start()
+
+    def join():
+        t.join()
+        if failed:
+            raise failed.pop()
+
+    return join
+
+
+def _joined():
+    """The join() of work that ran in the caller."""
+
+
+def _in_halves(work, lo, hi):
+    """work(lo, mid) in a worker thread (_start) and work(mid, hi) in the
+    caller, mid the middle of the range, or a range of one or none whole in
+    the caller; the worker is joined before this returns or raises."""
+    mid = (lo + hi) // 2
+    join = _start(work, lo, mid) if mid > lo else _joined
+    try:
+        work(mid, hi)
+    finally:
+        join()
+
+
 def _fgn_davies_harte(n, hurst, rng, dtype):
     """Fractional Gaussian noise with exact covariance, unit steps.
 
@@ -348,23 +399,37 @@ def _fgn_davies_harte(n, hurst, rng, dtype):
     it: 2n values in float64, 2n + 2 in float32, of which the transforms use
     the first 2n.  Returns a view of the first n values, whose base is that
     buffer.
+
+    Each stage whose elements or transform lines are independent runs in
+    two halves, one in a worker thread and one in the caller (_in_halves),
+    and the normals are drawn in the caller while a worker multiplies the
+    block before into the spectrum.  A process that may use one CPU runs
+    all of it in the caller.  Every element and every transform line gets
+    the same arithmetic either way, so the bits depend on neither.
     """
     e = 2.0 * hurst
     m = 2 * n
     buf = np.empty(max(m, 8 * (n + 1) // dtype.itemsize), dtype=dtype)[:m]
+
     # autocovariance 0.5 ((k+1)**e + |k-1|**e - 2 k**e) for k = 0..n, from a
     # power table of _ROW_BLOCK values at a time.  The three-term difference
     # cancels ~2H digits of k**e, so it is formed in float64 before any
     # downcast
-    for lo in range(0, n + 1, _ROW_BLOCK):
-        hi = min(lo + _ROW_BLOCK, n + 1)
-        p = np.abs(np.arange(lo - 1, hi + 1, dtype=np.float64))
-        p **= e
-        acf = p[2:] + p[:-2]
-        p *= 2.0
-        acf -= p[1:-1]
-        np.multiply(acf, 0.5, out=buf[lo:hi])
-    buf[n + 1 :] = buf[n - 1 : 0 : -1]
+    def autocovariance(lo, hi):
+        for a in range(lo, hi, _ROW_BLOCK):
+            b = min(a + _ROW_BLOCK, hi)
+            p = np.abs(np.arange(a - 1, b + 1, dtype=np.float64))
+            p **= e
+            acf = p[2:] + p[:-2]
+            p *= 2.0
+            acf -= p[1:-1]
+            np.multiply(acf, 0.5, out=buf[a:b])
+
+    def mirror(lo, hi):  # buf[n + 1 + i] = buf[n - 1 - i]
+        buf[n + 1 + lo : n + 1 + hi] = buf[n - 1 - lo : n - 1 - hi : -1]
+
+    _in_halves(autocovariance, 0, n + 1)
+    _in_halves(mirror, 0, n - 1)
     N1 = max(d for d in range(1, math.isqrt(n) + 1) if n % d == 0)
     N2 = n // N1
     z = buf.view(np.result_type(dtype, np.complex64)).reshape(N2, N1)
@@ -377,36 +442,57 @@ def _fgn_davies_harte(n, hurst, rng, dtype):
     top = _split(z, a, b, z[0, 0], z[0, 0])
     # twice the eigenvalues of the circulant over n, as _four_step scales by
     # 1/n, real up to rounding: 2 lambda_k / n in both parts of mode k's
-    # slot, and the real modes 0 and n in slot 0
-    buf[1::2] = buf[::2]
-    buf[1] = top.real
+    # slot, and the real modes 0 and n in slot 0.  Each half keeps its
+    # largest and smallest value
+    ends = []
+
+    def eigenvalues(lo, hi):  # the slots of modes lo..hi
+        v = buf[2 * lo : 2 * hi]
+        v[1::2] = v[::2]
+        if lo == 0:
+            v[1] = top.real
+        ends.append((v.max(), v.min()))
+
+    _in_halves(eigenvalues, 0, n)
+    largest, smallest = zip(*ends)
     # rounding floor of the length-m transform; anything below it means the
     # embedding itself is indefinite rather than numerically fuzzy, which
     # the circulant embedding of fGn never is for H in (0, 1)
-    tol = max(1e-10, np.finfo(dtype).eps * math.sqrt(m)) * float(buf.max())
-    if float(buf.min()) < -tol:
+    tol = max(1e-10, np.finfo(dtype).eps * math.sqrt(m)) * float(np.max(largest))
+    if float(np.min(smallest)) < -tol:
         raise InvariantError("circulant embedding of fGn is not positive semidefinite")
-    np.maximum(buf, 0.0, out=buf)
-    buf *= n * (n / 2.0)  # lambda_k m / 2, from 2 lambda_k / n
-    np.sqrt(buf, out=buf)
+
+    def amplitudes(lo, hi):
+        v = buf[lo:hi]
+        np.maximum(v, 0.0, out=v)
+        v *= n * (n / 2.0)  # lambda_k m / 2, from 2 lambda_k / n
+        np.sqrt(v, out=v)
+
+    _in_halves(amplitudes, 0, m)
     # Hermitian-symmetric Gaussian spectrum sqrt(lambda_k m / 2) (wr_k + i wi_k),
     # with wr_0 and wr_n scaled by sqrt 2 and wi_0 = wi_n = 0.  The normals
     # are drawn as the wr block of n + 1 and then the wi block, in mode
-    # order, the same stream as two whole draws, but into one small reused
-    # array: 16 whole columns of z at a time, or _ROW_BLOCK rows of one
-    # column when a column is longer.  A draw array of the path's size would
-    # raise the peak by half the buffer, and fewer columns make the strided
-    # products slower (2 columns took twice as long at n = 2^23).  wi_n, the
-    # last draw, is never used, so it is not drawn
+    # order, the same stream as two whole draws, but into a ring of two
+    # small slots: 16 whole columns of z at a time, or _ROW_BLOCK rows of one
+    # column when a column is longer.  While the caller draws a block into
+    # one slot, a worker multiplies the block before, in the other, into
+    # the spectrum.  A draw array of the path's size would raise the peak by
+    # half the buffer, and fewer columns make the strided products slower
+    # (2 columns took twice as long at n = 2^23).  wi_n, the last draw, is
+    # never used, so it is not drawn
     cols, rows = (min(N1, 16), N2) if N2 <= _ROW_BLOCK else (1, _ROW_BLOCK)
-    w = np.empty(rows * cols, dtype=dtype)
+    ring = np.empty((2, rows * cols), dtype=dtype)
     for imag, part in enumerate((z.real, z.imag)):
-        for c in range(0, N1, cols):
-            for r in range(0, N2, rows):
-                s = part[r : r + rows, c : c + cols]
-                g = w[: s.size].reshape(s.shape[::-1])
+        blocks = (part[r : r + rows, c : c + cols] for c in range(0, N1, cols) for r in range(0, N2, rows))
+        join = _joined
+        try:
+            for i, s in enumerate(blocks):
+                g = ring[i % 2, : s.size].reshape(s.shape[::-1])
                 rng.standard_normal(dtype=dtype, out=g)
-                s *= g.T
+                join()
+                join = _start(np.multiply, s, g.T, s)
+        finally:
+            join()
         if not imag:  # wr_n, and the sqrt 2 of the two real modes
             mode_n = buf[1] * (math.sqrt(2.0) * rng.standard_normal(dtype=dtype))
             buf[0] *= math.sqrt(2.0)
@@ -415,7 +501,12 @@ def _fgn_davies_harte(n, hurst, rng, dtype):
     _split(z, a.conj(), b.conj(), buf[0], buf[1])
     _four_step(z, 1)
     noise = buf[:n]
-    noise *= 0.5  # the inverse's 1/n, less the real transform's 1/m
+
+    def halve(lo, hi):  # the inverse's 1/n, less the real transform's 1/m
+        v = noise[lo:hi]
+        v *= 0.5
+
+    _in_halves(halve, 0, n)
     return noise
 
 
@@ -437,25 +528,38 @@ def _four_step(z, sign):
     transposed layout to natural order.  Both directions are scaled by
     1/length, because NumPy passes an unscaled transform the int 1 as its
     scale, which sends complex64 through the complex128 loop and a copy of
-    z; a scale of z's own precision keeps either dtype in place."""
+    z; a scale of z's own precision keeps either dtype in place.  The
+    column transforms run in two halves of the columns, the twiddles and
+    row transforms in two halves of the rows (_in_halves)."""
     N2, N1 = z.shape
     n = N2 * N1
-    if sign < 0:
-        transform, norm, axes = np.fft.fft, "forward", (0, 1)
-    else:
-        transform, norm, axes = np.fft.ifft, "backward", (1, 0)
-    transform(z, axis=axes[0], norm=norm, out=z)
-    # the twiddle of row k2 = q P + r is low[r] high[q]: two tables of
-    # about sqrt(N2) rows each, applied P rows at a time
+    transform, norm = (np.fft.fft, "forward") if sign < 0 else (np.fft.ifft, "backward")
+    # the twiddle of row k2 = q P + r is low[r] high_q, high_q formed as
+    # its block of P rows is reached and low a table of P rows
     P = math.isqrt(N2 - 1) + 1
     j1 = np.arange(N1)
     low = _unit_roots(np.outer(np.arange(P), j1), n, sign, z.dtype)
-    high = _unit_roots(np.outer(np.arange(0, N2, P), j1), n, sign, z.dtype)
-    for q, lo in enumerate(range(0, N2, P)):
-        block = z[lo : lo + P]
-        block *= low[: block.shape[0]]
-        block *= high[q]
-    transform(z, axis=axes[1], norm=norm, out=z)
+
+    def columns(lo, hi):
+        v = z[:, lo:hi]
+        transform(v, axis=0, norm=norm, out=v)
+
+    def rows(lo, hi):  # the blocks of P rows from q = lo to hi
+        v = z[lo * P : hi * P]
+        if sign > 0:
+            transform(v, axis=1, norm=norm, out=v)
+        for q in range(lo, hi):
+            block = z[q * P : (q + 1) * P]
+            block *= low[: block.shape[0]]
+            block *= _unit_roots(j1 * (q * P), n, sign, z.dtype)
+        if sign < 0:
+            transform(v, axis=1, norm=norm, out=v)
+
+    if sign < 0:
+        _in_halves(columns, 0, N1)
+    _in_halves(rows, 0, -(-N2 // P))
+    if sign > 0:
+        _in_halves(columns, 0, N1)
 
 
 def _split(z, a, b, z0, zn):
@@ -466,7 +570,8 @@ def _split(z, a, b, z0, zn):
     then the value at n - k is conj(A - B) where the value at k is A + B,
     so each pair is formed once.  Row 0 pairs its columns k1 and N1 - k1;
     rows k2 and N2 - k2 pair column-reversed, a block of rows at a time,
-    both partners computed from copies."""
+    both partners computed from copies, the pairs in two disjoint halves
+    (_in_halves)."""
     N2, N1 = z.shape
 
     def pair(p, q, w):  # p = z_k (a copy), q = conj z_(n-k)
@@ -480,10 +585,14 @@ def _split(z, a, b, z0, zn):
     p[0], q[0] = z0, np.conj(zn)
     z[0], top = pair(p, q, a[0] * b)
     h = max(1, _ROW_BLOCK // N1)
-    for lo in range(1, N2 // 2 + 1, h):
-        hi = min(lo + h, N2 // 2 + 1)
-        partner = z[N2 - lo : N2 - hi : -1, ::-1]
-        z[lo:hi], partner[...] = pair(z[lo:hi].copy(), np.conj(partner), a[lo:hi, None] * b)
+
+    def pairs(lo, hi):  # rows lo..hi and their partners
+        for r in range(lo, hi, h):
+            s = min(r + h, hi)
+            partner = z[N2 - r : N2 - s : -1, ::-1]
+            z[r:s], partner[...] = pair(z[r:s].copy(), np.conj(partner), a[r:s, None] * b)
+
+    _in_halves(pairs, 1, N2 // 2 + 1)
     return top[0]
 
 
@@ -495,15 +604,21 @@ def gen_fbm(hurst, scale, T, grid_step, seed, dtype=np.float64) -> PricePath:
     buffer is the path's home: the noise is shifted up one slot, widened to
     float64 in place, the buffer shrunk to the K + 1 values of the path and
     the path summed in place, returned with T alone.  The peak is that
-    buffer: two path sizes, or one in float32.  A grid whose buffer NumPy
-    cannot allocate is refused first, by T and grid_step."""
+    buffer: two path sizes, or one in float32.  A dtype other than float32
+    or float64, and a grid whose buffer NumPy cannot allocate, are refused
+    first, the grid by T and grid_step.  The synthesis (_fgn_davies_harte)
+    and the final scalings and exp run on two threads, in the caller alone
+    where the process may use one CPU; the path's bits depend on neither."""
     if not 0.0 < hurst < 1.0:
         raise ValueError(f"hurst must be in (0, 1), got {hurst!r}")
     if not math.isfinite(scale):
         raise ValueError(f"scale must be finite, got {scale!r}")
+    dtype = np.dtype(dtype)
+    if dtype not in (np.float32, np.float64):
+        raise ValueError(f"dtype must be float32 or float64, got {dtype}")
     # one buffer of 2K of dtype, which holds the path's K + 1 of 8
-    K, h = _grid(T, grid_step, 2 * max(np.dtype(dtype).itemsize, 4))
-    noise = _fgn_davies_harte(K, hurst, np.random.default_rng(seed), np.dtype(dtype))
+    K, h = _grid(T, grid_step, 2 * max(dtype.itemsize, 4))
+    noise = _fgn_davies_harte(K, hurst, np.random.default_rng(seed), dtype)
     buf = noise.base
     # path[i + 1] starts at or above noise[i]'s byte in either dtype, so
     # blocks copied from the top down never overwrite unread noise
@@ -523,9 +638,15 @@ def gen_fbm(hurst, scale, T, grid_step, seed, dtype=np.float64) -> PricePath:
         pass
     path = buf.view(np.float64)[: K + 1]
     np.cumsum(path[1:], out=path[1:])
-    path *= h**hurst
-    path *= scale
-    np.exp(path, out=path)
+    step = h**hurst
+
+    def finish(lo, hi):
+        v = path[lo:hi]
+        v *= step
+        v *= scale
+        np.exp(v, out=v)
+
+    _in_halves(finish, 0, K + 1)
     return PricePath(path, T)
 
 

@@ -77,11 +77,17 @@ def peak_rss_ratio(call, path_bytes=None):
         "rise = peak() - before\n"
         f"print(rise * 1024 / {path_bytes or 'path.values.nbytes'})\n"
     )
+    return float(run_python(code))
+
+
+def run_python(code, *args, stdin=None):
+    """Standard output of `code` run with args in a fresh interpreter that
+    imports gtpbet from this checkout; fails the test if it exits non-zero."""
     src = str(Path(gtpbet.__file__).resolve().parent.parent)
     proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True, text=True, timeout=120,
+        [sys.executable, "-c", code, *args],
+        input=stdin, capture_output=True, text=True, timeout=120,
         env=dict(os.environ, PYTHONPATH=src),
     )
     assert proc.returncode == 0, proc.stderr
-    return float(proc.stdout)
+    return proc.stdout

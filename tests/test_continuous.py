@@ -1,6 +1,10 @@
+import json
 import math
+import os
 import re
 import sys
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -19,7 +23,7 @@ from gtpbet import (
     holder_experiment,
     sos_capital_fast,
 )
-from conftest import peak_rss_ratio, reference_stops
+from conftest import peak_rss_ratio, reference_stops, run_python
 
 
 def _definition_stops(values, delta, stops):
@@ -716,6 +720,124 @@ def test_gen_fbm_under_a_tracer_that_reads_its_locals():
     finally:
         sys.settrace(previous)
     assert np.array_equal(p.values, gen_fbm(0.3, 0.1, 1.0, 2.0**-10, 1).values)
+
+
+# gen_fbm's paths, as SHA-256, in a fresh interpreter held to one CPU or
+# left with all of this process's CPUs: (K, hurst, dtype) cases on stdin,
+# and the count of threads the calls started
+_WORKER_COUNT_CHILD = """
+import hashlib, json, os, sys, threading
+import numpy as np
+if sys.argv[1] == "one":
+    try:
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    except OSError as e:
+        print(json.dumps({"skip": str(e)}))
+        sys.exit()
+from gtpbet import gen_fbm
+started = []
+start = threading.Thread.start
+def counted(thread):
+    started.append(thread)
+    start(thread)
+threading.Thread.start = counted
+digests = []
+for K, hurst, dtype in json.load(sys.stdin):
+    step = 2.0**-20
+    p = gen_fbm(hurst, 0.2, K * step, step, 17, dtype=dtype)
+    digests.append(hashlib.sha256(p.values.tobytes()).hexdigest())
+print(json.dumps({"threads": len(started), "digests": digests}))
+"""
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or continuous._workers() < 2,
+    reason="compares two workers with one: needs two CPUs and sched_setaffinity",
+)
+def test_gen_fbm_bits_do_not_depend_on_the_worker_count():
+    # each stage of the synthesis runs in two halves on two CPUs and whole
+    # in the caller on one; every element and transform line gets the same
+    # arithmetic, so the paths are the same bytes
+    cases = [(K, hurst, np.dtype(dtype).name) for K, hurst, _, dtype in _FBM_CASES]
+    cases += [(2**20, 0.3, "float64"), (2**20, 0.3, "float32")]
+    runs = {}
+    for cpus in ("one", "all"):
+        runs[cpus] = json.loads(run_python(_WORKER_COUNT_CHILD, cpus, stdin=json.dumps(cases)))
+        if "skip" in runs[cpus]:
+            pytest.skip(f"affinity cannot be set: {runs[cpus]['skip']}")
+    assert runs["one"]["threads"] == 0 < runs["all"]["threads"]
+    assert len(runs["one"]["digests"]) == len(cases)
+    assert runs["one"]["digests"] == runs["all"]["digests"]
+
+
+def test_gen_fbm_leaves_no_thread_and_no_view_behind():
+    # every worker is joined before its stage returns, and none keeps a
+    # view of the buffer, which resize would refuse: the buffer is shrunk
+    # to the path
+    K = 2**12
+    before = threading.active_count()
+    p = gen_fbm(0.3, 0.1, 1.0, 1.0 / K, 1)
+    assert threading.active_count() == before
+    assert p.values.base.nbytes == 8 * (K + 1)
+
+
+@pytest.mark.skipif(
+    continuous._workers() < 2,
+    reason="on one CPU every stage runs in the caller, with no worker to fail",
+)
+@pytest.mark.parametrize("side", ["worker", "caller"])
+def test_gen_fbm_joins_its_worker_when_a_half_raises(monkeypatch, side):
+    # the first transform stage runs in two halves; one side's transform
+    # raises, and the other's waits a moment first, so a worker left
+    # unjoined would still be running when the error arrives
+    fft = np.fft.fft
+
+    def failing(*args, **kwargs):
+        if (threading.current_thread() is threading.main_thread()) == (side == "caller"):
+            raise FloatingPointError(f"the {side}'s transform failed")
+        time.sleep(0.2)
+        return fft(*args, **kwargs)
+
+    before = threading.active_count()
+    monkeypatch.setattr(np.fft, "fft", failing)
+    with pytest.raises(FloatingPointError, match=f"^the {side}'s transform failed$"):
+        gen_fbm(0.3, 0.1, 1.0, 2.0**-12, 1)
+    assert threading.active_count() == before
+
+
+def test_gen_fbm_called_from_several_threads_at_once():
+    # each call keeps its workers and halves to itself: four callers at
+    # once, each with its own worker and switched every microsecond, get
+    # the paths that one caller at a time gets
+    seeds = range(4)
+    expected = [gen_fbm(0.3, 0.1, 1.0, 2.0**-14, seed).values for seed in seeds]
+    got = {}
+
+    def call(seed):
+        got[seed] = gen_fbm(0.3, 0.1, 1.0, 2.0**-14, seed).values
+
+    threads = [threading.Thread(target=call, args=(seed,)) for seed in seeds]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(np.array_equal(got[seed], path) for seed, path in zip(seeds, expected))
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.complex128, np.int64, np.longdouble])
+def test_gen_fbm_refuses_a_dtype_other_than_float32_or_float64(monkeypatch, dtype):
+    # before any allocation; each used to fail deep in the synthesis with
+    # an error that named neither the dtype nor the parameter
+    monkeypatch.setattr(continuous, "_grid", lambda *a, **k: pytest.fail("grid sized"))
+    message = f"dtype must be float32 or float64, got {np.dtype(dtype)}"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        gen_fbm(0.3, 0.1, 1.0, 2.0**-10, 1, dtype)
 
 
 @pytest.mark.parametrize("K", [1, 64, 4097])
