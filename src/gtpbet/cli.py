@@ -1,4 +1,4 @@
-"""Command-line front end: scenario runner, return transform, self test.
+"""Command-line front end: scenario runner and return transform.
 
 Scenarios are described by flat key=value config files, e.g.::
 
@@ -267,20 +267,6 @@ def _cmd_transform(args) -> int:
     return 0
 
 
-def _cmd_selftest(args) -> int:
-    tests = Path(__file__).resolve().parent.parent.parent / "tests"
-    if not tests.is_dir():
-        print(
-            f"gtpbet selftest: no test suite at {tests}; the tests ship with "
-            "the source tree, so run this from a source checkout",
-            file=sys.stderr,
-        )
-        return 2
-    import pytest
-
-    return pytest.main(["-q", str(tests)])
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="gtpbet", description="sequential optimizing betting strategies"
@@ -295,8 +281,6 @@ def main(argv=None) -> int:
     p_tr.add_argument("--c", type=float, default=0.17)
     p_tr.add_argument("--output")
     p_tr.set_defaults(func=_cmd_transform)
-    p_st = sub.add_parser("selftest", help="run the invariant test suite")
-    p_st.set_defaults(func=_cmd_selftest)
     args = parser.parse_args(argv)
     return args.func(args)
 

@@ -223,6 +223,29 @@ def sos_run(
     )
 
 
+def _solve_rows(V, s):
+    """Solve V[n] a = s[n] for every row n in place: s becomes the solutions
+    and is returned, and V is overwritten.
+
+    Gaussian elimination without pivoting, which V needs none of: it is
+    symmetric positive definite.  Vectorised over the rows, it loops over
+    the d * d entries in plain ufuncs, so no BLAS kernel decides the bits.
+    At d = 1 it is the one division s / V.
+    """
+    d = s.shape[1]
+    for k in range(d):
+        for i in range(k + 1, d):
+            f = V[:, i, k] / V[:, k, k]
+            for j in range(k + 1, d):
+                V[:, i, j] -= f * V[:, k, j]
+            s[:, i] -= f * s[:, k]
+    for k in reversed(range(d)):
+        for j in range(k + 1, d):
+            s[:, k] -= V[:, k, j] * s[:, j]
+        s[:, k] /= V[:, k, k]
+    return s
+
+
 def sos_capital_fast(path, training, alpha_box):
     """Per-round log gains of the first-order sequential strategy, and its next bet.
 
@@ -236,7 +259,11 @@ def sos_capital_fast(path, training, alpha_box):
     s and V are the training totals plus the running moments of the path,
     which do not depend on the bets.  They run column by column,
     _ROW_BLOCK rounds at a time (an empty path is one empty block), with
-    the same bits as at once, and each block forms the rule on every row.
+    the same bits as at once, and each block forms the rule on every row
+    with _solve_rows: Gaussian elimination in plain ufuncs, the same code
+    for every d.  At d = 1 that is the one division s / V, so the bits are
+    those of the scalar rule; at d >= 2 it rounds differently from
+    LAPACK's LU, within a few cond(V) eps.
 
     Returns (gains, bet): the log gains log(1 + alpha_n . x_n), one per
     round, whose sum is the final log capital, and the rule after the last
@@ -244,9 +271,14 @@ def sos_capital_fast(path, training, alpha_box):
     """
     training = as_path(training)
     d = training.shape[1]
+    try:
+        bound = np.broadcast_to(np.asarray(alpha_box, dtype=float), (d,))
+    except ValueError:
+        raise ValueError(f"alpha_box must broadcast to ({d},), got {alpha_box!r}") from None
+    if not np.all(bound > 0.0):
+        raise ValueError(f"alpha_box must be positive in every component, got {alpha_box!r}")
     path = as_path(path, d)
     train_s, train_V = training.sum(axis=0), training.T @ training
-    bound = np.broadcast_to(np.asarray(alpha_box, dtype=float), (d,))
     gains = np.zeros(path.shape[0])  # a row sum starts from +0.0, as NumPy's does
     s = V = None
     for lo in range(0, max(path.shape[0], 1), _ROW_BLOCK):
@@ -257,10 +289,7 @@ def sos_capital_fast(path, training, alpha_box):
             s[:, i] += train_s[i]
             for j in range(d):
                 V[:, i, j] += train_V[i, j]
-        if d == 1:
-            alpha = s / V[:, 0]
-        else:
-            alpha = np.linalg.solve(V, s[:, :, None])[:, :, 0]
+        alpha = _solve_rows(V, s)
         g = gains[lo : lo + x.shape[0]]
         for i in range(d):
             a = alpha[:-1, i]  # the bets of the block's rounds

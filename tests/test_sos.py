@@ -26,7 +26,7 @@ from gtpbet import (
 )
 from gtpbet.domain import LEDGER_COLUMNS, running_moments
 from gtpbet.optimizer import _newton_rows, _outer_rows
-from gtpbet.sos import _BLOCK, _training_growth_constant
+from gtpbet.sos import _BLOCK, _solve_rows, _training_growth_constant
 from conftest import corner_game, unit_box_game
 
 
@@ -330,10 +330,32 @@ def test_fast_rule_matches_per_round_reference(d, drift):
         np.testing.assert_allclose(got, running, rtol=0.0, atol=tol)
 
 
+def eliminate(V, s):
+    """The fast rule's solve of V[n] a = s[n], written out over whole
+    arrays with each step a fresh array: elimination without pivoting,
+    then back substitution, in the fast rule's order of operations."""
+    d = s.shape[1]
+    V = [[V[:, i, j] for j in range(d)] for i in range(d)]
+    s = [s[:, i] for i in range(d)]
+    for k in range(d):
+        for i in range(k + 1, d):
+            f = V[i][k] / V[k][k]
+            for j in range(k + 1, d):
+                V[i][j] = V[i][j] - f * V[k][j]
+            s[i] = s[i] - f * s[k]
+    for k in reversed(range(d)):
+        for j in range(k + 1, d):
+            s[k] = s[k] - V[k][j] * s[j]
+        s[k] = s[k] / V[k][k]
+    return np.stack(s, axis=1)
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_fast_rule_bit_identical_to_whole_array_reference(d):
     # the rule written out over whole arrays, each step a fresh array:
-    # the fast rule must give the same bits however it stores them
+    # the fast rule must give the same bits however it stores them.  At
+    # d >= 2 the reference solves by the rule's own elimination, which
+    # rounds differently from LAPACK (test_solve_rows_matches_lapack)
     rng = np.random.default_rng(70 + d)
     path = rng.uniform(-0.05, 0.05, size=(4000, d)) + 0.01
     train = 0.06 * np.concatenate([np.eye(d), -np.eye(d)])
@@ -341,10 +363,7 @@ def test_fast_rule_bit_identical_to_whole_array_reference(d):
     s, V = running_moments(path)
     s = train.sum(axis=0) + s[:-1]
     V = train.T @ train + V[:-1]
-    if d == 1:
-        alpha = s / V[:, 0]
-    else:
-        alpha = np.linalg.solve(V, s[:, :, None])[:, :, 0]
+    alpha = s / V[:, 0] if d == 1 else eliminate(V, s)
     alpha = np.clip(alpha, -box, box)
     assert np.any(np.abs(alpha) == box)  # the drift pushes bets onto the box
     expect = np.log1p((alpha * path).sum(axis=1))
@@ -365,14 +384,64 @@ def test_fast_rule_blocks_bit_identical_to_whole_array_reference(d, monkeypatch)
     s, V = running_moments(path)
     s = train.sum(axis=0) + s[:-1]
     V = train.T @ train + V[:-1]
-    if d == 1:
-        alpha = s / V[:, 0]
-    else:
-        alpha = np.linalg.solve(V, s[:, :, None])[:, :, 0]
+    alpha = s / V[:, 0] if d == 1 else eliminate(V, s)
     alpha = np.clip(alpha, -box, box)
     assert np.any(np.abs(alpha) == box)
     expect = np.log1p((alpha * path).sum(axis=1))
     assert sos_capital_fast(path, train, box)[0].tobytes() == expect.tobytes()
+
+
+def solve_rows_error_bound(V, s):
+    """|a - a_lapack| and its bound 4 d cond(V) eps |a_lapack|, per row:
+    the two solutions each carry a relative error of a few d cond(V) eps."""
+    ref = np.linalg.solve(V, s[:, :, None])[:, :, 0]
+    got = _solve_rows(V.copy(), s.copy())
+    eps = np.finfo(float).eps
+    bound = 4 * s.shape[1] * np.linalg.cond(V) * eps * np.linalg.norm(ref, axis=1)
+    return np.linalg.norm(got - ref, axis=1), bound
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_solve_rows_matches_lapack(d):
+    # random SPD batches, with condition numbers up to about 1e9
+    rng = np.random.default_rng(90 + d)
+    A = rng.standard_normal((2000, d, d)) * np.exp(rng.uniform(-6.0, 6.0, (2000, 1, d)))
+    V = A @ A.transpose(0, 2, 1) + 1e-3 * np.eye(d)
+    s = rng.standard_normal((2000, d))
+    err, bound = solve_rows_error_bound(V, s)
+    assert np.all(err <= bound)
+    if d == 1:
+        assert _solve_rows(V.copy(), s.copy()).tobytes() == (s / V[:, 0]).tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_solve_rows_matches_lapack_on_embedded_paths(d):
+    # every running system of the fast rule on a drifting GBM embedding
+    # (mu = 0.1, sigma = 0.3, T = 10, delta = 0.01: 14,202 stops at d = 2)
+    from gtpbet.continuous import embed, game_config_for_embedding, gen_gbm
+
+    path = gen_gbm(np.full(d, 0.1), 0.3 * np.eye(d), 10.0, (0.01 / 1.5) ** 2, 1)
+    emb = embed(path, 0.01)
+    assert emb.N > 10_000
+    train = game_config_for_embedding(0.01, d).training.points
+    s, V = running_moments(emb.outcomes, train.sum(axis=0), train.T @ train)
+    err, bound = solve_rows_error_bound(V, s)
+    assert np.all(err <= bound)
+
+
+@pytest.mark.parametrize(
+    "box, message",
+    [
+        (np.nan, "alpha_box must be positive in every component, got nan"),
+        (-1.0, "alpha_box must be positive in every component, got -1.0"),
+        ([1.0, 0.0], r"alpha_box must be positive in every component, got \[1.0, 0.0\]"),
+        ([1.0, 2.0, 3.0], r"alpha_box must broadcast to \(2,\), got \[1.0, 2.0, 3.0\]"),
+    ],
+)
+def test_fast_rule_refuses_a_bad_alpha_box(box, message):
+    train = 0.06 * np.concatenate([np.eye(2), -np.eye(2)])
+    with pytest.raises(ValueError, match=message):
+        sos_capital_fast(np.full((5, 2), 0.01), train, box)
 
 
 def test_flat_path_in_one_dimensional_game():
